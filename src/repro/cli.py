@@ -154,6 +154,7 @@ from repro.experiments.fig5_blackscholes import BS_SIZES, run_fig5
 from repro.experiments.fig6_distribution import render_fig6, run_fig6
 from repro.experiments.fig7_idleness import render_fig7, run_fig7
 from repro.experiments.runner import (
+    FIXED_OVERHEAD_S,
     PAPER_POLICIES,
     make_application,
     make_policy,
@@ -875,7 +876,10 @@ def _simulate(
     app = make_application(args.app, args.size)
     cluster = paper_cluster(args.machines)
     ground_truth = GroundTruth(cluster, app.kernel_characteristics())
-    policy = make_policy(policy_name, ground_truth=ground_truth)
+    # pinned overhead: the result depends on the config and seed alone
+    policy = make_policy(
+        policy_name, ground_truth=ground_truth, fixed_overhead_s=FIXED_OVERHEAD_S
+    )
     perturbations, failures, transients = _parse_fault_flags(args)
     runtime = Runtime(
         cluster,

@@ -89,8 +89,11 @@ __all__ = [
 #: chaos runs check the busy-overlap invariant.
 #: "7": service-mode runs (``service_json`` specs) flow through the
 #: sweep with ``"serve"`` scorecard payloads, and ``TransferFault``
-#: grew the seeded backoff-jitter knob.)
-ALGORITHM_VERSION = "7"
+#: grew the seeded backoff-jitter knob.
+#: "8": model selection solves every candidate from one shared Gram
+#: matrix (ledger fractions, predictions and calibration differ in the
+#: last digits), and service-mode PLB-HeC solves by waterfilling first.)
+ALGORITHM_VERSION = "8"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")

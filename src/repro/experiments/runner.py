@@ -28,6 +28,7 @@ from repro.runtime import RunResult, SchedulingPolicy
 from repro.util.stats import mean_std
 
 __all__ = [
+    "FIXED_OVERHEAD_S",
     "PolicyOutcome",
     "SweepPoint",
     "make_application",
@@ -54,6 +55,13 @@ def make_application(name: str, size: int) -> Application:
     if name == "stencil":
         return Stencil2D(num_tiles=size, sweeps=2000)
     raise ConfigurationError(f"unknown application {name!r}")
+
+
+#: Pinned per-solve PLB-HeC scheduler-overhead charge (about the
+#: measured median on a modern host).  Run-style commands and
+#: benchmarks pass it to :func:`make_policy` so a result depends on the
+#: config and seed alone, not on how fast the host solved.
+FIXED_OVERHEAD_S = 0.018
 
 
 def make_policy(

@@ -27,7 +27,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_sweep,
 )
-from repro.experiments.runner import PAPER_POLICIES, SweepPoint
+from repro.experiments.runner import FIXED_OVERHEAD_S, PAPER_POLICIES, SweepPoint
 from repro.obs.profiler import hot_functions, merge_profiles
 from repro.util.timing import Stopwatch, perf_report
 
@@ -44,11 +44,6 @@ BENCH_PATH = "BENCH_wallclock.json"
 #: The Fig. 4 MatMul fast grid (sizes x one machine count).
 FAST_SIZES: tuple[int, ...] = (4096, 65536)
 FAST_MACHINES: tuple[int, ...] = (4,)
-
-#: Pinned per-solve overhead charge (about the measured median on a
-#: modern host) so benchmark runs are bit-reproducible.
-FIXED_OVERHEAD_S = 0.018
-
 
 def points_equal(a: Sequence[SweepPoint], b: Sequence[SweepPoint]) -> bool:
     """Exact (bitwise) equality of two sweeps' aggregates."""

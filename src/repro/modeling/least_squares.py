@@ -17,7 +17,22 @@ import numpy as np
 from repro.errors import FitError
 from repro.modeling.basis import BasisFunction
 
-__all__ = ["FitResult", "fit_basis_model", "r_squared", "_relative_rmse"]
+__all__ = [
+    "FitResult",
+    "check_fit_inputs",
+    "fit_basis_model",
+    "gram_factor",
+    "gram_solve",
+    "r_squared",
+    "weighted_lstsq",
+    "_relative_rmse",
+]
+
+#: Smallest Cholesky pivot (of the unit-diagonal, column-scaled Gram
+#: matrix) :func:`gram_factor` accepts.  The normal equations square the
+#: design's condition number; below this pivot even a refinement step
+#: does not recover ``lstsq``'s accuracy, so that path is used instead.
+_MIN_PIVOT = 1e-3
 
 
 def _relative_rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -119,6 +134,44 @@ class FitResult:
         return f"F[x] = {' '.join(terms)}  (u=x/{self.x_scale:.4g}, R2={self.r2:.3f})"
 
 
+def check_fit_inputs(
+    x: Sequence[float],
+    y: Sequence[float],
+    *,
+    weights: Sequence[float] | None,
+    x_scale: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
+    """Validated ``(x, y, weights, x_scale)`` of a fit, as arrays.
+
+    ``x_scale`` defaults to ``max(x)``.
+
+    Raises
+    ------
+    FitError
+        On shape mismatches, no points, non-positive sizes, non-finite
+        values, negative weights or a non-positive scale.
+    """
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.ndim != 1 or xa.shape != ya.shape:
+        raise FitError(f"x and y must be equal-length 1-D, got {xa.shape}, {ya.shape}")
+    if xa.size == 0:
+        raise FitError("cannot fit a model to zero points")
+    if np.any(xa <= 0.0):
+        raise FitError(f"block sizes must be positive, got {xa.min()}")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise FitError("x and y must be finite")
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != xa.shape or np.any(w < 0):
+            raise FitError("weights must be non-negative and match x")
+    scale = float(x_scale) if x_scale is not None else float(xa.max())
+    if scale <= 0.0:
+        raise FitError(f"x_scale must be positive, got {scale}")
+    return xa, ya, w, scale
+
+
 def fit_basis_model(
     x: Sequence[float],
     y: Sequence[float],
@@ -148,16 +201,7 @@ def fit_basis_model(
         If fewer points than coefficients are supplied, sizes are
         non-positive, or the numerical solve fails.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or xa.shape != ya.shape:
-        raise FitError(f"x and y must be equal-length 1-D, got {xa.shape}, {ya.shape}")
-    if xa.size == 0:
-        raise FitError("cannot fit a model to zero points")
-    if np.any(xa <= 0.0):
-        raise FitError(f"block sizes must be positive, got {xa.min()}")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise FitError("x and y must be finite")
+    xa, ya, w, scale = check_fit_inputs(x, y, weights=weights, x_scale=x_scale)
     nb = len(basis)
     if nb == 0:
         raise FitError("basis must be non-empty")
@@ -165,32 +209,9 @@ def fit_basis_model(
         raise FitError(
             f"{xa.size} points cannot determine {nb} coefficients"
         )
-    scale = float(x_scale) if x_scale is not None else float(xa.max())
-    if scale <= 0.0:
-        raise FitError(f"x_scale must be positive, got {scale}")
-
     u = xa / scale
-    design = np.column_stack([b.f(u) for b in basis])
-    target = ya
-    if weights is not None:
-        w_raw = np.asarray(weights, dtype=float)
-        if w_raw.shape != xa.shape or np.any(w_raw < 0):
-            raise FitError("weights must be non-negative and match x")
-        w = np.sqrt(w_raw)
-        design = design * w[:, None]
-        target = ya * w
-
-    # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
-    col_norms = np.linalg.norm(design, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    try:
-        coef_scaled, *_ = np.linalg.lstsq(design / col_norms, target, rcond=None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
-        raise FitError(f"least-squares solve failed: {exc}") from exc
-    coef = coef_scaled / col_norms
-
-    u_all = xa / scale
-    y_hat = np.asarray(sum(a * b.f(u_all) for a, b in zip(coef, basis)))
+    coef = weighted_lstsq(np.column_stack([b.f(u) for b in basis]), ya, w)
+    y_hat = np.asarray(sum(a * b.f(u) for a, b in zip(coef, basis)))
     return FitResult(
         basis=tuple(basis),
         coefficients=np.asarray(coef, dtype=float),
@@ -200,3 +221,67 @@ def fit_basis_model(
         x_max=float(xa.max()),
         rel_rmse=_relative_rmse(ya, y_hat),
     )
+
+
+def weighted_lstsq(
+    design: np.ndarray, target: np.ndarray, weights: np.ndarray | None
+) -> np.ndarray:
+    """Weighted least-squares coefficients of ``target`` on ``design``'s columns.
+
+    Raises
+    ------
+    FitError
+        If the numerical solve fails.
+    """
+    if weights is not None:
+        w = np.sqrt(weights)
+        design = design * w[:, None]
+        target = target * w
+    # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
+    col_norms = np.linalg.norm(design, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    try:
+        coef_scaled, *_ = np.linalg.lstsq(design / col_norms, target, rcond=None)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
+        raise FitError(f"least-squares solve failed: {exc}") from exc
+    return coef_scaled / col_norms
+
+
+def gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of weighted Gram matrices ``XᵀWX``.
+
+    ``gram`` has shape ``(k, s, s)``.  Each matrix's columns are scaled
+    to unit norm first, as :func:`fit_basis_model` scales its design.
+    Returns ``(inverse factors, norms, ok)`` for :func:`gram_solve`
+    (the systems are at most 9×9, so applying explicit inverses beats
+    two triangular solves per right-hand side).  ``ok[i]`` is False when
+    system ``i`` is too ill conditioned for the normal equations; the
+    caller refits it with :func:`weighted_lstsq`.
+    """
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    norms = np.where(norms == 0.0, 1.0, norms)
+    try:
+        chol = np.linalg.cholesky(gram / (norms[:, :, None] * norms[:, None, :]))
+    except np.linalg.LinAlgError:
+        if len(gram) == 1:
+            return np.eye(gram.shape[-1])[None], norms, np.zeros(1, dtype=bool)
+        # one failed system fails the stacked call: factor one at a time
+        parts = [gram_factor(gram[i : i + 1]) for i in range(len(gram))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    ok = np.all(np.diagonal(chol, axis1=-2, axis2=-1) >= _MIN_PIVOT, axis=-1)
+    chol = np.where(ok[:, None, None], chol, np.eye(chol.shape[-1]))
+    return np.linalg.inv(chol), norms, ok
+
+
+def gram_solve(
+    factor: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray
+) -> np.ndarray:
+    """Solve ``gram @ a = rhs`` for each system of a :func:`gram_factor` stack.
+
+    ``rhs`` has shape ``(k, s)``: ``XᵀWy``, or ``XᵀWr`` for a refinement
+    step on residuals ``r``.  Systems that are not ``ok`` get meaningless
+    coefficients.
+    """
+    inv_chol, norms, _ = factor
+    half = inv_chol @ (rhs / norms)[:, :, None]
+    return (np.swapaxes(inv_chol, -1, -2) @ half)[:, :, 0] / norms

@@ -189,6 +189,10 @@ class PerfProfile:
         self.device_id = device_id
         self.max_points = int(max_points)
         self._points: list[ProfilePoint] = []
+        #: bumped by every change to ``_points``; keys the fit cache
+        self._version = 0
+        self._fit_key: tuple | None = None
+        self._fit_model: DeviceModel | None = None
 
     def __len__(self) -> int:
         return len(self._points)
@@ -225,6 +229,7 @@ class PerfProfile:
             transfer_s=transfer_s,
             round_index=round_index,
         )
+        self._version += 1
         same_size = [i for i, p in enumerate(self._points) if p.units == units]
         if len(same_size) >= self.PER_SIZE_LIMIT:
             del self._points[same_size[0]]
@@ -251,6 +256,11 @@ class PerfProfile:
     ) -> DeviceModel:
         """Fit F and G to the retained observations.
 
+        The fit is a function of the retained points, ``candidates`` and
+        ``recency_decay`` alone, so it is cached: until :meth:`add` or
+        :meth:`clear` changes the points, the same arguments return the
+        same :class:`DeviceModel` object without refitting.
+
         Parameters
         ----------
         candidates:
@@ -272,6 +282,9 @@ class PerfProfile:
             )
         if not 0.0 < recency_decay <= 1.0:
             raise FitError(f"recency_decay must be in (0, 1], got {recency_decay}")
+        key = (self._version, tuple(map(tuple, candidates)), recency_decay)
+        if self._fit_key == key:
+            return self._fit_model
         x = np.array([p.units for p in self._points], dtype=float)
         y_exec = np.array([p.exec_s for p in self._points], dtype=float)
         y_xfer = np.array([p.transfer_s for p in self._points], dtype=float)
@@ -282,8 +295,11 @@ class PerfProfile:
             weights = recency_decay**ages
         exec_fit = select_model(x, y_exec, candidates=candidates, weights=weights)
         transfer_fit = fit_transfer_model(x, y_xfer)
-        return DeviceModel(self.device_id, exec_fit, transfer_fit)
+        self._fit_key = key
+        self._fit_model = DeviceModel(self.device_id, exec_fit, transfer_fit)
+        return self._fit_model
 
     def clear(self) -> None:
         """Drop all observations (fresh profiling epoch)."""
+        self._version += 1
         self._points.clear()

@@ -4,8 +4,11 @@ Batch PLB-HeC probes, fits, solves and rebalances *within* one
 application run.  The service version runs the same
 collect→calculate→rebalance cycle forever: completed blocks feed
 per-(device, template) performance profiles, every cycle re-fits the
-dominant template's models and re-solves the block partition, and the
-resulting device fractions shape block sizes until the next cycle.
+dominant template's models (a profile with no new observation returns
+its cached fit) and re-solves the block partition, and the resulting
+device fractions shape block sizes until the next cycle.  The solve is
+waterfilling first: the interior-point refinement runs only when the
+waterfilling split fails validation (``waterfill_first=True``).
 
 The solve step keeps the batch fallback chain, re-entered as often as
 the service needs it: solver failure falls back to the last good
@@ -75,10 +78,12 @@ class ContinuousBalancer:
         self._last_good: dict[str, float] | None = None
         #: EWMA units/sec per (device, template); None until measured
         self._rate: dict[tuple[str, int], float] = {}
+        # only plb-hec fits profiles; the other flavors keep none
         self._profiles: dict[tuple[str, int], PerfProfile] = {
             (d, t): PerfProfile(d)
             for d in self.device_ids
             for t in range(max(templates, 1))
+            if flavor == "plb-hec"
         }
         self._template_backlog: dict[int, float] = {}
         self.rebalances = 0
@@ -162,7 +167,7 @@ class ContinuousBalancer:
         if self.solver_hook is not None:
             raw = self.solver_hook(models, total)
             return {d: float(raw[d]) for d in self.device_ids}
-        result = solve_block_partition(models, total)
+        result = solve_block_partition(models, total, waterfill_first=True)
         return dict(result.fractions)
 
     def _analytic(self, backlog: Mapping[int, int]) -> str | None:

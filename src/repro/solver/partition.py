@@ -18,7 +18,11 @@ solve is staged:
    NLP (eq. 3-5) is solved over the free devices with the
    line-search filter method, which produces the final block sizes.
    This mirrors how IPOPT's own bound handling deals with the active
-   set internally.
+   set internally.  With ``waterfill_first=True`` (the service's
+   continuous balancer) a waterfilling answer that validates is
+   returned as is and the refinement runs only when it does not: the
+   refinement moves a validated waterfilling split by ~1e-6 of the
+   quantum, which a serving loop cannot act on.
 
 If the interior-point stage fails to converge or validate, the
 waterfilling solution is returned (``method="waterfill"``); if even
@@ -159,6 +163,7 @@ def solve_block_partition(
     ipm_options: IPMOptions | None = None,
     spread_tol: float = 0.05,
     allow_fallback: bool = True,
+    waterfill_first: bool = False,
 ) -> PartitionResult:
     """Distribute ``total_units`` so all devices finish simultaneously.
 
@@ -177,6 +182,11 @@ def solve_block_partition(
     allow_fallback:
         When False, an interior-point failure raises instead of
         degrading to the waterfilling answer.
+    waterfill_first:
+        Return the waterfilling presolve whenever it validates at
+        ``spread_tol``, running the interior-point refinement only when
+        it does not.  Batch PLB-HeC keeps the default (the paper's
+        solve); the service balancer sets it.
 
     Raises
     ------
@@ -228,6 +238,23 @@ def solve_block_partition(
         units_wf, t_wf = waterfill_partition(model_list, q, caps=caps)
     except SolverError as exc:
         _log.debug("waterfilling presolve failed: %s", exc)
+
+    def waterfill_result() -> PartitionResult:
+        return PartitionResult(
+            device_ids=device_ids,
+            units=units_wf,
+            predicted_time=t_wf,
+            method="waterfill",
+            converged=True,
+            iterations=0,
+            kkt_error=float("nan"),
+            solve_time_s=time.perf_counter() - t_start,
+        )
+
+    if waterfill_first and units_wf is not None and _validate(
+        units_wf, t_wf, model_list, q, caps, spread_tol=spread_tol
+    ):
+        return waterfill_result()
 
     # ------------------------------------------------------------------
     # 2. interior-point refinement on the free set (the paper's solve)
@@ -289,16 +316,7 @@ def solve_block_partition(
     if units_wf is not None and _validate(
         units_wf, t_wf, model_list, q, caps, spread_tol=max(spread_tol, 0.1)
     ):
-        return PartitionResult(
-            device_ids=device_ids,
-            units=units_wf,
-            predicted_time=t_wf,
-            method="waterfill",
-            converged=True,
-            iterations=0,
-            kkt_error=float("nan"),
-            solve_time_s=time.perf_counter() - t_start,
-        )
+        return waterfill_result()
 
     # ------------------------------------------------------------------
     # 4. measured-rate proportional split under caps (never fails)

@@ -6,12 +6,14 @@ to one scalar equation: ``S(T) = sum_g E_g^{-1}(T) = Q`` with ``S``
 non-decreasing in T.  Bisection on T is therefore a complete, derivative
 -free solver for the same problem the interior-point method solves.
 
-It is used two ways:
+It is used three ways:
 
 * as a *cross-check*: tests assert IPM and waterfilling agree;
 * as a *fallback*: if the IPM reports failure on a pathological fit,
   the partition layer silently switches to this path (and notes it in
-  the result's ``method`` field).
+  the result's ``method`` field);
+* as the *answer* in serve mode, where the partition layer returns it
+  whenever it validates (``waterfill_first=True``).
 """
 
 from __future__ import annotations

@@ -407,7 +407,7 @@ class TestProfiledSweeps:
     CURATED = (
         "repro.solver.ipm._solve_impl",
         "repro.solver.partition.solve_block_partition",
-        "repro.modeling.least_squares.fit_basis_model",
+        "repro.modeling.model_select._candidate_fits",
         "repro.runtime.sim_executor",
     )
 

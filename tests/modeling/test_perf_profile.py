@@ -99,6 +99,89 @@ class TestPerfProfile:
             PerfProfile("d", max_points=1)
 
 
+class TestFitCache:
+    """``fit`` refits only when the points or its arguments change."""
+
+    def test_hit_returns_same_model(self):
+        prof = linear_profile()
+        assert prof.fit() is prof.fit()
+        assert prof.fit(recency_decay=0.9) is prof.fit(recency_decay=0.9)
+
+    def test_add_invalidates(self):
+        prof = linear_profile()
+        before = prof.fit()
+        prof.add(2048, 0.5 + 0.01 * 2048, 1e-5 * 2048)
+        after = prof.fit()
+        assert after is not before
+        assert after.exec_fit.n_points == before.exec_fit.n_points + 1
+
+    def test_clear_invalidates(self):
+        prof = linear_profile()
+        before = prof.fit()
+        prof.clear()
+        with pytest.raises(FitError, match=">= 2"):
+            prof.fit()
+        # as many points as before, different data: a fresh fit
+        for u in (8, 16, 64, 256, 1024):
+            prof.add(u, 2.0 * u, 0.0)
+        after = prof.fit()
+        assert after is not before
+        assert after.F(64.0) == pytest.approx(128.0, rel=1e-9)
+
+    def test_per_size_eviction_invalidates(self):
+        prof = PerfProfile("d")
+        for u in (8, 64, 512):
+            prof.add(u, 0.01 * u, 0.0)
+        for _ in range(PerfProfile.PER_SIZE_LIMIT):
+            prof.add(100, 1.0, 0.0)
+        before = prof.fit()
+        # the oldest size-100 point is replaced: same length, new data
+        prof.add(100, 3.0, 0.0)
+        assert len(prof) == 3 + PerfProfile.PER_SIZE_LIMIT
+        after = prof.fit()
+        assert after is not before
+        assert float(after.F(100.0)) > float(before.F(100.0))
+
+    def test_window_eviction_invalidates(self):
+        prof = PerfProfile("d", max_points=4)
+        for u in (8, 16, 32, 64):
+            prof.add(u, 0.01 * u, 0.0)
+        before = prof.fit()
+        prof.add(128, 10.0, 0.0)
+        assert len(prof) == 4
+        after = prof.fit()
+        assert after is not before
+        assert after.x_max == 128.0
+
+    def test_different_decay_misses(self):
+        prof = linear_profile()
+        plain = prof.fit()
+        decayed = prof.fit(recency_decay=0.6)
+        assert decayed is not plain
+        # the latest arguments are what is cached
+        assert prof.fit(recency_decay=0.6) is decayed
+        assert prof.fit() is not plain
+
+    def test_different_candidates_miss(self):
+        from repro.modeling.basis import CONSTANT, LINEAR, SQUARE
+
+        prof = linear_profile()
+        plain = prof.fit()
+        small = prof.fit(candidates=[(CONSTANT, LINEAR)])
+        assert small is not plain
+        assert small.exec_fit.names == ("1", "x")
+        assert prof.fit(candidates=[(CONSTANT, LINEAR)]) is small
+        assert prof.fit(candidates=[(CONSTANT, LINEAR, SQUARE)]) is not small
+
+    def test_failed_fit_not_cached(self):
+        prof = PerfProfile("d")
+        prof.add(8, 1.0, 0.1)
+        with pytest.raises(FitError):
+            prof.fit()
+        prof.add(16, 2.0, 0.2)
+        assert prof.fit().exec_fit.n_points == 2
+
+
 class TestDeviceModel:
     @pytest.fixture
     def model(self):

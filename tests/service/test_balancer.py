@@ -49,6 +49,20 @@ class TestFlavors:
         assert sum(b.fractions.values()) == pytest.approx(1.0)
         assert b.fractions["a.gpu"] > b.fractions["a.cpu"]
 
+    @pytest.mark.parametrize("flavor", ["fair", "greedy"])
+    def test_only_plb_hec_feeds_profiles(self, monkeypatch, flavor):
+        from repro.modeling.perf_profile import PerfProfile
+
+        adds = []
+        original = PerfProfile.add
+        monkeypatch.setattr(
+            PerfProfile, "add", lambda self, *a, **k: adds.append(a) or original(self, *a, **k)
+        )
+        feed(ContinuousBalancer(DEVICES, flavor=flavor), {"a.cpu": 10, "a.gpu": 80})
+        assert adds == []
+        feed(ContinuousBalancer(DEVICES), {"a.cpu": 10, "a.gpu": 80})
+        assert len(adds) == 6
+
     def test_empty_backlog_resets_to_fair(self):
         b = ContinuousBalancer(DEVICES)
         assert b.rebalance(0.5, {}) == "fair-share"

@@ -68,6 +68,28 @@ class TestSolveBlockPartition:
         assert result.units_by_device["pricey"] == pytest.approx(0.0, abs=1e-6)
         assert result.converged
 
+    def test_waterfill_first_returns_validated_presolve(self):
+        models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
+        fast = solve_block_partition(models, 10_000.0, waterfill_first=True)
+        refined = solve_block_partition(models, 10_000.0)
+        assert (fast.method, fast.iterations) == ("waterfill", 0)
+        assert refined.method == "ipm"
+        np.testing.assert_allclose(fast.units, refined.units, atol=1e-5 * 10_000.0)
+
+    def test_waterfill_first_falls_back_to_ipm(self, monkeypatch):
+        from repro.solver import partition
+
+        # a presolve that misses equal finish times fails validation
+        monkeypatch.setattr(
+            partition,
+            "waterfill_partition",
+            lambda models, q, caps: (np.full(len(models), q / len(models)), 1.0),
+        )
+        models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
+        result = solve_block_partition(models, 10_000.0, waterfill_first=True)
+        assert result.method == "ipm"
+        assert result.iterations > 0
+
     def test_solve_time_recorded(self):
         models = {f"d{i}": model(f"d{i}", 0.001) for i in range(2)}
         result = solve_block_partition(models, 100.0)
