@@ -61,16 +61,9 @@ Commands
     Time the block-size solver (the Sec. V.a statistic).
 ``ablations``
     Run the three DESIGN.md ablation studies.
-``bench``
-    Benchmark the sweep engine (serial vs parallel vs cached) and write
-    ``BENCH_wallclock.json``.  Every run is also appended to the
-    benchmark history store (``.repro_history/``, see ``REPRO_HISTORY``);
-    ``--check`` compares the fresh laps against the recorded baseline
-    with the statistical gate in :mod:`repro.obs.regress` and exits
-    non-zero on a regression.
 ``dashboard``
     Write the self-contained HTML observability dashboard (policy
-    comparison, benchmark trend, solver convergence, Gantt timeline,
+    comparison, solver convergence, Gantt timeline,
     CPU profile, resilience scorecard, anomaly findings) — no external
     requests, open it anywhere.  ``--scorecard chaos_scorecard.json``
     feeds the resilience section from a previous ``chaos`` run.
@@ -100,9 +93,8 @@ Commands
     profiler and write a flamegraph SVG (``--flame``), a collapsed-stack
     file for flamegraph.pl / speedscope (``--collapsed``), the raw
     snapshot (``--json``) and/or profile slices merged into a Perfetto
-    timeline (``--trace-out``).  ``run``/``compare``/``bench`` accept a
-    ``--profile`` flag for the same capture in passing; profiled bench
-    laps are tagged in history and never drive the regression gate.
+    timeline (``--trace-out``).  ``run``/``compare`` accept a
+    ``--profile`` flag for the same capture in passing.
 
 Sweep-driving commands accept ``--jobs N`` (default: the ``REPRO_JOBS``
 environment variable, else the CPU count) and honour ``REPRO_CACHE``
@@ -176,13 +168,12 @@ __all__ = ["main", "build_parser", "EXIT_CODE_TABLE"]
 
 #: The one authoritative exit-code contract, rendered into ``repro
 #: --help`` (epilog) and mirrored by the README table (a test asserts
-#: the two agree).  Codes follow the regression gate's convention:
-#: 2 is :data:`repro.obs.regress.EXIT_CODES`'s ``"regressed"``.
+#: the two agree).
 EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (0, "ok", "command completed and every gate it ran passed"),
     (1, "error", "usage or data error: bad configuration, missing "
      "artifact (top without a series), policy without a ledger (explain)"),
-    (2, "regressed", "a gate failed: bench --check regression, "
+    (2, "regressed", "a gate failed: "
      "run/serve --slo objective violation, or why --assert-bound breach "
      "(attribution != makespan, bound > makespan, empty path, "
      "busy-overlap)"),
@@ -190,6 +181,10 @@ EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
      "invariant violations, or a serve episode produced scorecard "
      "invariant errors"),
 )
+
+
+#: The code a failed gate (``--slo``, ``why --assert-bound``) exits with.
+_EXIT_REGRESSED = next(c for c, name, _ in EXIT_CODE_TABLE if name == "regressed")
 
 
 def _exit_code_epilog() -> str:
@@ -546,50 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--replications", type=int, default=3)
     p_report.add_argument("--fast", action="store_true")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the sweep engine and write BENCH_wallclock.json",
-    )
-    p_bench.add_argument("--replications", type=int, default=2)
-    p_bench.add_argument(
-        "--output",
-        default="BENCH_wallclock.json",
-        help="report path ('-' to skip writing)",
-    )
-    p_bench.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history store to append to ('-' disables; default: "
-        "REPRO_HISTORY, else .repro_history/)",
-    )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="gate this run against the recorded baseline laps; "
-        "exits 2 on a statistically significant regression",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="history file/dir to compare against (default: the "
-        "history store itself)",
-    )
-    p_bench.add_argument(
-        "--rel-threshold",
-        type=float,
-        default=0.50,
-        help="relative slowdown that counts as a regression (default 0.50)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the serial/parallel laps and record the hot-function "
-        "table into history; profiled laps are tagged and never gate",
-    )
-    add_jobs_arg(p_bench)
-
     p_dash = sub.add_parser(
         "dashboard",
         help="write the self-contained HTML observability dashboard",
@@ -601,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default="dashboard.html",
         help="output path (default: dashboard.html)",
-    )
-    p_dash.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history store for the trend section (default: REPRO_HISTORY, "
-        "else .repro_history/)",
     )
     p_dash.add_argument(
         "--scorecard",
@@ -689,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="history store to append the campaign summary to "
-        "('-' disables; default: REPRO_HISTORY, else .repro_history/)",
+        "('-' disables; default: REPRO_HISTORY, else none)",
     )
     add_jobs_arg(p_chaos)
 
@@ -1060,7 +1004,7 @@ def _run_telemetry(
     """``run``'s post-run telemetry: series artifact, SLO gate, alerts.
 
     Returns ``(exit_code, alerts)`` where ``exit_code`` is 2 when an
-    SLO objective failed (the regression gate's code) and ``alerts``
+    SLO objective failed (the ``regressed`` code) and ``alerts``
     are the instant markers to stamp into a ``--trace-out`` timeline.
     """
     from repro.obs.timeseries import publish_windowed_gauges, write_series
@@ -1094,7 +1038,7 @@ def _slo_gate(
     telemetry): prints the verdict table, emits alerts, optionally
     writes the report, and returns exit 2 when an objective failed.
     """
-    from repro.obs.regress import EXIT_CODES, detect_slo_anomalies
+    from repro.obs.regress import detect_slo_anomalies
     from repro.obs.slo import (
         DEFAULT_SLO_SPEC,
         emit_slo_alerts,
@@ -1138,7 +1082,7 @@ def _slo_gate(
         path = write_slo_report(report_out, report)
         print(f"slo report written to {path}")
     return (
-        0 if report["ok"] else EXIT_CODES["regressed"],
+        0 if report["ok"] else _EXIT_REGRESSED,
         slo_alerts(report) or None,
     )
 
@@ -1400,9 +1344,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
         path = write_chrome_trace(doc, args.trace_out)
         print(f"trace written to {path}")
     if args.assert_bound and problems:
-        from repro.obs.regress import EXIT_CODES
-
-        return EXIT_CODES["regressed"]
+        return _EXIT_REGRESSED
     return 0
 
 
@@ -1544,142 +1486,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _resolve_history(flag: str | None):
     """The history store a command should use, or None when disabled.
 
-    Precedence: an explicit ``--history`` flag (``-`` disables), then
-    the ``REPRO_HISTORY`` environment variable (including its off
-    values), then the default ``.repro_history/`` directory.
+    Writes are opt-in: an explicit ``--history`` flag (``-`` disables),
+    else the ``REPRO_HISTORY`` environment variable, else none.
     """
-    import os
-
-    from repro.obs.history import DEFAULT_HISTORY_DIR, HistoryStore
+    from repro.obs.history import HistoryStore
 
     if flag == "-":
         return None
     if flag:
         return HistoryStore(flag)
-    if os.environ.get("REPRO_HISTORY", "").strip():
-        return HistoryStore.from_env()
-    return HistoryStore(DEFAULT_HISTORY_DIR)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.wallclock import run_wallclock_bench
-    from repro.obs.history import HistoryStore, bench_entry
-
-    output = None if args.output == "-" else args.output
-    report = run_wallclock_bench(
-        replications=args.replications,
-        jobs=args.jobs,
-        output=output,
-        profile=args.profile,
-    )
-    timings = report["timings_s"]
-    meta = report["meta"]
-    print(
-        format_table(
-            ["phase", "wall_s"],
-            [[phase, seconds] for phase, seconds in timings.items()],
-            title="Sweep-engine wall clock (Fig. 4 MM fast grid)",
-        )
-    )
-    speedup = meta.get("parallel_speedup")
-    speedup_text = (
-        f"{speedup:.2f}x"
-        if speedup is not None
-        else f"n/a ({meta.get('parallel_speedup_reason', 'not measured')})"
-    )
-    print(
-        f"jobs={meta['jobs']} effective_jobs={meta.get('effective_jobs')} "
-        f"parallel_speedup={speedup_text} "
-        f"warm/cold={meta['warm_over_cold_fraction']:.1%} "
-        f"identical={meta['parallel_matches_serial']}"
-    )
-    if output is not None:
-        print(f"report written to {output}")
-    if args.profile:
-        hot = meta.get("hot_functions", [])
-        print(
-            format_table(
-                ["function", "phase", "self_ms", "share"],
-                [
-                    [
-                        h["function"],
-                        h.get("phase", ""),
-                        h["self_s"] * 1e3,
-                        f"{h['share'] * 100:.1f}%",
-                    ]
-                    for h in hot
-                ],
-                title="Hot functions (merged serial+parallel profile)",
-            )
-        )
-
-    history = _resolve_history(args.history)
-    exit_code = 0
-    if args.check:
-        from repro.obs.regress import check_bench_report
-
-        baseline = HistoryStore(args.baseline) if args.baseline else history
-        if baseline is None:
-            print("check: no baseline available (history disabled) -> "
-                  "insufficient-data")
-        else:
-            # Check BEFORE appending, so a run never gates against itself.
-            check = check_bench_report(
-                report, baseline, rel_threshold=args.rel_threshold
-            )
-            rows = [
-                [c.metric, c.verdict,
-                 "-" if c.rel_change is None else f"{c.rel_change:+.1%}",
-                 "-" if c.p_value is None else f"{c.p_value:.3f}",
-                 c.baseline_n, c.reason]
-                for c in check.comparisons
-            ]
-            print(
-                format_table(
-                    ["lap", "verdict", "change", "p", "n", "reason"],
-                    rows,
-                    title=f"Regression gate vs {baseline.path}",
-                )
-            )
-            print(f"check: {check.verdict} ({check.reason})")
-            exit_code = check.exit_code
-            if args.profile and meta.get("hot_functions"):
-                # Advisory hot-path drift vs matched profiled history —
-                # same config-hash + host-fingerprint rules as the gate,
-                # but never contributes to the exit code.
-                from repro.obs.history import fingerprint_hash
-                from repro.obs.report import config_hash as _config_hash
-                from repro.obs.regress import detect_hot_path_drift
-
-                cfg_hash = _config_hash(
-                    {"grid": meta.get("grid", {}), "jobs": meta.get("jobs")}
-                )
-                shares = baseline.hot_function_shares(
-                    config_hash=cfg_hash,
-                    host_hash=fingerprint_hash(report.get("host")),
-                    last=20,
-                )
-                drift = detect_hot_path_drift(meta["hot_functions"], shares)
-                if drift:
-                    for finding in drift:
-                        print(f"hot-path drift: {finding.message}")
-                else:
-                    print(
-                        f"hot-path drift: none over {len(shares)} matched "
-                        "profiled entr"
-                        + ("y" if len(shares) == 1 else "ies")
-                    )
-    if history is not None:
-        stored = history.append(bench_entry(report))
-        print(f"history: appended to {history.path} "
-              f"(config {stored['config_hash'][:12]})")
-    return exit_code
+    return HistoryStore.from_env()
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import collect_dashboard_data, write_dashboard
 
-    history = _resolve_history(args.history)
     scorecard = None
     if args.scorecard:
         scorecard = json.loads(
@@ -1693,14 +1514,12 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         noise=args.noise,
         replications=args.replications,
         jobs=args.jobs,
-        history=history,
         scorecard=scorecard,
     )
     path = write_dashboard(args.out, data)
     print(
         f"dashboard written to {path} "
-        f"({len(data.bench_trend)} trend entries, "
-        f"{len(data.anomalies)} anomalies); open it in any browser"
+        f"({len(data.anomalies)} anomalies); open it in any browser"
     )
     return 0
 
@@ -2040,8 +1859,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             render_fig7(run_fig7(replications=args.replications, jobs=args.jobs))
         )
         return 0
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
     if args.command == "chaos":

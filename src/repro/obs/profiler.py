@@ -20,15 +20,13 @@ profiling subsystem built on :mod:`cProfile`:
 * Exports: :func:`collapsed_stacks` (flamegraph.pl / speedscope
   compatible collapsed-stack text), :func:`render_flamegraph_svg`
   (self-contained, dark-mode aware SVG, same conventions as
-  :mod:`repro.obs.dashboard`), :func:`hot_functions` (the top-N table
-  recorded into history entries for the hot-path drift detector in
-  :mod:`repro.obs.regress`), and :func:`phase_breakdown`.
+  :mod:`repro.obs.dashboard`), :func:`hot_functions` (the top-N
+  table), and :func:`phase_breakdown`.
 
 Determinism note: ``cProfile`` is a tracing (not sampling) profiler —
 call counts are exact and reproducible for a seeded simulation, which
 is what makes the multiprocess merge testable (serial and parallel
-sweeps must agree on every call count) and the drift detector
-meaningful.  Only the profiler-owning thread is traced; the simulated
+sweeps must agree on every call count).  Only the profiler-owning thread is traced; the simulated
 backend is single-threaded, which is the intended target.
 """
 
@@ -365,9 +363,7 @@ def hot_functions(snap: Mapping[str, Any], *, top: int = 10) -> list[dict[str, A
 
     Each row: ``{function, calls, self_s, cum_s, share, phase}`` where
     ``share`` is the function's fraction of total profiled self time and
-    ``phase`` is the phase it spent most of that time in.  This is the
-    table recorded into history entries and consumed by the hot-path
-    drift detector.
+    ``phase`` is the phase it spent most of that time in.
     """
     agg: dict[str, dict[str, Any]] = {}
     for phase, pdata in snap.get("phases", {}).items():
