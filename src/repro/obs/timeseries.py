@@ -27,8 +27,15 @@ metrics registry's bounded-reservoir :class:`~repro.obs.metrics.Histogram`
 machinery, and :func:`publish_windowed_gauges` exposes the aggregates as
 ``ts.*`` gauges for the Prometheus exposition.  ``series.jsonl`` is the
 on-disk artifact (:func:`write_series` / :func:`read_series` /
-:func:`validate_series`); :func:`render_top` turns it into the
+:func:`validate_series`): a header line, then one line per series with
+its samples as two columns, ``t`` and ``v`` (schema 2; schema-1 files,
+one line per sample, still read).  :func:`render_top` turns it into the
 ``repro top`` terminal view.
+
+Telemetry is columnar end to end: the sampler resolves each series'
+deque once and appends ``(t, v)`` tuples to it, the writer checks the
+columns in memory before serialising them, and the reader parses each
+line once and fills each ring in bulk.
 """
 
 from __future__ import annotations
@@ -58,7 +65,12 @@ __all__ = [
 ]
 
 #: ``series.jsonl`` schema version (header line ``schema`` field).
-SERIES_SCHEMA = 1
+#: Schema 2 writes one line per series; schema-1 files (one line per
+#: sample) are still read and validated.
+SERIES_SCHEMA = 2
+
+#: Ring size a schema-1 file (whose header does not carry it) reads into.
+_DEFAULT_MAX_POINTS = 4096
 
 #: Cluster-level series names a sampler records each tick.
 CLUSTER_SERIES = (
@@ -73,6 +85,17 @@ CLUSTER_SERIES = (
 
 #: Per-device series names (labelled ``{device=...}``).
 DEVICE_SERIES = ("device_util", "device_idle_frac", "device_busy_s")
+
+
+def _parse_series_key(key: str) -> tuple[str, dict[str, str]]:
+    """Split a ``name{k=v,...}`` key (see ``_series_key``) into ``(name, labels)``."""
+    name, _, body = key.partition("{")
+    labels = {}
+    if body:
+        for pair in body.rstrip("}").split(","):
+            k, _, v = pair.partition("=")
+            labels[k] = v
+    return name, labels
 
 
 def jain_fairness(values: Sequence[float]) -> float:
@@ -107,15 +130,24 @@ class TimeSeriesStore:
         self.max_points = int(max_points)
         self._series: dict[str, deque[tuple[float, float]]] = {}
 
-    def record(self, name: str, t: float, value: float, **labels: str) -> None:
-        """Append one sample to the named series."""
+    def buffer(self, name: str, **labels: str) -> deque[tuple[float, float]]:
+        """The bounded ``(t, value)`` deque of one series, created on first use.
+
+        Appending ``(float, float)`` tuples to it is what :meth:`record`
+        does; a writer that records the same series on every tick
+        resolves the deque once and skips the per-sample key building.
+        """
         if not name:
             raise ConfigurationError("series name must be non-empty")
         key = _series_key(name, labels)
         buf = self._series.get(key)
         if buf is None:
             buf = self._series[key] = deque(maxlen=self.max_points)
-        buf.append((float(t), float(value)))
+        return buf
+
+    def record(self, name: str, t: float, value: float, **labels: str) -> None:
+        """Append one sample to the named series."""
+        self.buffer(name, **labels).append((float(t), float(value)))
 
     def keys(self) -> list[str]:
         """Series keys in first-recorded order."""
@@ -191,16 +223,12 @@ class TimeSeriesStore:
 
 def store_from_payload(payload: Mapping[str, Any]) -> TimeSeriesStore:
     """Rebuild a :class:`TimeSeriesStore` from :meth:`~TimeSeriesStore.to_payload`."""
-    store = TimeSeriesStore(max_points=int(payload.get("max_points", 4096)))
+    store = TimeSeriesStore(
+        max_points=int(payload.get("max_points", _DEFAULT_MAX_POINTS))
+    )
     for key, pts in payload.get("series", {}).items():
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
-        for t, v in pts:
-            store.record(name, t, v, **labels)
+        name, labels = _parse_series_key(key)
+        store.buffer(name, **labels).extend((float(t), float(v)) for t, v in pts)
     return store
 
 
@@ -256,6 +284,9 @@ class ClusterSampler:
         self._last_t = 0.0
         self._last_busy: dict[str, float] = {}
         self._last_completed = 0
+        # the store's deques, resolved on the first sample (see _resolve)
+        self._device_bufs: list[tuple[str, deque, deque, deque]] = []
+        self._cluster_bufs: tuple[deque, ...] = ()
 
     # ------------------------------------------------------------------
     # executor-facing lifecycle
@@ -349,34 +380,49 @@ class ClusterSampler:
     def _tick(self, now: float) -> None:
         self._sample(now)
 
+    def _resolve(self) -> None:
+        """Look up every series' deque once, in first-recorded order.
+
+        Lazy (first sample, not :meth:`start`) so a run that never
+        samples leaves the store empty.
+        """
+        buffer = self.store.buffer
+        self._device_bufs = [
+            (device, *(buffer(name, device=device) for name in DEVICE_SERIES))
+            for device in self._devices
+        ]
+        self._cluster_bufs = tuple(buffer(name) for name in CLUSTER_SERIES)
+
     def _sample(self, t: float) -> None:
         dt = t - self._last_t
         if dt <= 0.0:
             return
-        record = self.store.record
-        cumulative: dict[str, float] = {}
-        for device in self._devices:
+        if not self._cluster_bufs:
+            self._resolve()
+        cumulative: list[float] = []
+        for device, util_buf, idle_buf, busy_buf in self._device_bufs:
             busy = self._busy_until(device, t)
-            cumulative[device] = busy
+            cumulative.append(busy)
             util = min(max((busy - self._last_busy[device]) / dt, 0.0), 1.0)
-            record("device_util", t, util, device=device)
-            record("device_idle_frac", t, 1.0 - util, device=device)
-            record("device_busy_s", t, busy, device=device)
+            util_buf.append((t, util))
+            idle_buf.append((t, 1.0 - util))
+            busy_buf.append((t, busy))
             self._last_busy[device] = busy
-        backlog = self._work_remaining()
-        outstanding = sum(units for _, _, units in self._inflight.values())
         completed = self._completed_units
-        record("queue_depth", t, float(len(self._engine.queue)))
-        record("backlog_units", t, float(backlog))
-        record("outstanding_units", t, float(outstanding))
-        record("completed_units", t, float(completed))
-        record("goodput_units_per_s", t, (completed - self._last_completed) / dt)
-        progress = list(cumulative.values())
-        lo, hi = min(progress), max(progress)
-        # max/min cumulative progress; 0.0 flags "some device has not
-        # started yet" rather than emitting an unbounded ratio
-        record("imbalance", t, hi / lo if lo > 0.0 else 0.0)
-        record("fairness", t, jain_fairness(progress))
+        lo, hi = min(cumulative), max(cumulative)
+        values = (
+            float(len(self._engine.queue)),
+            float(self._work_remaining()),
+            float(sum(units for _, _, units in self._inflight.values())),
+            float(completed),
+            (completed - self._last_completed) / dt,
+            # max/min cumulative progress; 0.0 flags "some device has not
+            # started yet" rather than emitting an unbounded ratio
+            hi / lo if lo > 0.0 else 0.0,
+            jain_fairness(cumulative),
+        )
+        for buf, value in zip(self._cluster_bufs, values):
+            buf.append((t, value))
         self._last_t = t
         self._last_completed = completed
         self.samples_taken += 1
@@ -403,12 +449,7 @@ def publish_windowed_gauges(
         agg = store.aggregate(key)
         if agg.get("count", 0) == 0:
             continue
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
+        name, labels = _parse_series_key(key)
         for stat in ("mean", "max", "p50", "p95", "p99"):
             registry.set_gauge(f"{prefix}.{name}.{stat}", agg[stat], **labels)
             written += 1
@@ -429,44 +470,56 @@ def write_series(
     """Write the store as a ``series.jsonl`` artifact (atomic).
 
     Line 1 is a header (``kind: header``) carrying the schema version,
-    run id, sample interval and series inventory; every following line
-    is one sample (``kind: sample``).  The writer validates its own
-    output before moving it into place.
+    run id, sample interval, ring size and series inventory; every
+    following line is one whole series (``kind: series``) whose samples
+    are two columns, ``t`` and ``v``, in :meth:`TimeSeriesStore.keys`
+    order.  The columns are checked in memory before anything is
+    written: every value finite, time never decreasing within a series,
+    and the header's inventory and sample count equal to the rows.
     """
     path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "schema": SERIES_SCHEMA,
-                "run_id": run_id,
-                "interval": interval,
-                "series": store.keys(),
-                "samples": len(store),
-                "meta": dict(meta) if meta else {},
-            },
-            sort_keys=True,
-        )
-    ]
-    for key in store.keys():
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
-        for t, v in store.points(key):
-            lines.append(
+    keys = store.keys()
+    rows = []
+    count = 0
+    for key in keys:
+        pts = store.points(key)
+        t, v = (list(col) for col in zip(*pts)) if pts else ([], [])
+        name, labels = _parse_series_key(key)
+        try:
+            rows.append(
                 json.dumps(
-                    {"kind": "sample", "series": name, "labels": labels,
+                    {"kind": "series", "series": name, "labels": labels,
                      "t": t, "v": v},
                     sort_keys=True,
+                    allow_nan=False,
                 )
             )
-    text = "\n".join(lines) + "\n"
-    problems = validate_series(text.splitlines())
-    if problems:  # pragma: no cover - the writer emits what it validates
-        raise ConfigurationError(f"refusing to write invalid series: {problems}")
+        except ValueError:
+            raise ConfigurationError(
+                f"refusing to write invalid series: {key!r} holds a "
+                "non-finite sample"
+            ) from None
+        if sorted(t) != t:
+            raise ConfigurationError(
+                f"refusing to write invalid series: time goes backwards in {key!r}"
+            )
+        count += len(t)
+    header = {
+        "kind": "header",
+        "schema": SERIES_SCHEMA,
+        "run_id": run_id,
+        "interval": interval,
+        "series": keys,
+        "samples": count,
+        "max_points": store.max_points,
+        "meta": dict(meta) if meta else {},
+    }
+    if header["series"] != store.keys() or header["samples"] != len(store):
+        raise ConfigurationError(
+            "refusing to write invalid series: the store changed while it "
+            "was being written"
+        )
+    text = "\n".join([json.dumps(header, sort_keys=True), *rows]) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -477,86 +530,164 @@ def write_series(
 def read_series(path: str | Path) -> tuple[dict[str, Any], TimeSeriesStore]:
     """Read a ``series.jsonl`` artifact back into ``(header, store)``.
 
-    Validates before parsing; raises :class:`ConfigurationError` on a
+    Reads schema 2 and schema 1 files.  Each line is parsed once and
+    validated as it is read; raises :class:`ConfigurationError` on a
     malformed file.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    problems = validate_series(lines)
+    problems, header, store = _parse_series(lines)
     if problems:
         raise ConfigurationError(
             f"invalid series file {path}: {'; '.join(problems[:5])}"
         )
-    header = json.loads(lines[0])
-    store = TimeSeriesStore()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        store.record(row["series"], row["t"], row["v"], **row.get("labels", {}))
     return header, store
 
 
 def validate_series(lines: Iterable[str]) -> list[str]:
-    """Schema-check ``series.jsonl`` content; returns a list of problems."""
-    problems: list[str] = []
+    """Schema-check ``series.jsonl`` content; returns a list of problems.
+
+    Accepts schema 2 (one ``kind: series`` line per series) and schema 1
+    (one ``kind: sample`` line per sample); each row kind is accepted
+    only under its own schema's header.
+    """
+    return _parse_series(lines)[0]
+
+
+def _parse_series(
+    lines: Iterable[str],
+) -> tuple[list[str], dict[str, Any], TimeSeriesStore]:
+    """Parse and validate ``series.jsonl`` lines into ``(problems, header, store)``."""
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
-        return ["empty file (missing header line)"]
+        return ["empty file (missing header line)"], {}, TimeSeriesStore()
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        return [f"header is not JSON: {exc}"]
+        return [f"header is not JSON: {exc}"], {}, TimeSeriesStore()
     if not isinstance(header, dict) or header.get("kind") != "header":
-        problems.append("first line must be a kind=header object")
-        return problems
-    if header.get("schema") != SERIES_SCHEMA:
-        problems.append(
-            f"unsupported schema {header.get('schema')!r} "
-            f"(expected {SERIES_SCHEMA})"
-        )
+        return ["first line must be a kind=header object"], {}, TimeSeriesStore()
+    schema = header.get("schema")
+    if type(schema) is not int or schema not in (1, SERIES_SCHEMA):
+        return [
+            f"unsupported schema {schema!r} (expected 1 or {SERIES_SCHEMA})"
+        ], header, TimeSeriesStore()
+    problems: list[str] = []
     declared = header.get("series")
     if not isinstance(declared, list):
         problems.append("header.series must be a list of series keys")
         declared = []
-    seen_last_t: dict[str, float] = {}
-    count = 0
-    for i, line in enumerate(lines[1:], 2):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {i}: not JSON: {exc}")
-            continue
-        if not isinstance(row, dict) or row.get("kind") != "sample":
-            problems.append(f"line {i}: expected a kind=sample object")
-            continue
-        name = row.get("series")
-        labels = row.get("labels", {})
-        if not isinstance(name, str) or not name:
-            problems.append(f"line {i}: missing series name")
-            continue
-        if not isinstance(labels, dict):
-            problems.append(f"line {i}: labels must be an object")
-            continue
-        for field in ("t", "v"):
-            value = row.get(field)
-            if not isinstance(value, (int, float)) or (
-                isinstance(value, float) and not math.isfinite(value)
-            ):
-                problems.append(f"line {i}: {field} must be a finite number")
-                break
-        else:
-            key = _series_key(name, {str(k): str(v) for k, v in labels.items()})
-            if declared and key not in declared:
-                problems.append(f"line {i}: undeclared series {key!r}")
-            t = float(row["t"])
-            if key in seen_last_t and t < seen_last_t[key]:
-                problems.append(f"line {i}: time goes backwards in {key!r}")
-            seen_last_t[key] = t
-            count += 1
+    max_points = _DEFAULT_MAX_POINTS
+    if schema == SERIES_SCHEMA:
+        max_points = header.get("max_points")
+        if type(max_points) is not int or max_points < 1:
+            problems.append("header.max_points must be a positive integer")
+            max_points = _DEFAULT_MAX_POINTS
+    store = TimeSeriesStore(max_points=max_points)
+    read_rows = _read_sample_rows if schema == 1 else _read_series_rows
+    count = read_rows(lines, set(declared), store, problems)
     samples = header.get("samples")
     if isinstance(samples, int) and samples != count and not problems:
         problems.append(f"header declares {samples} samples, found {count}")
-    return problems
+    return problems, header, store
+
+
+def _finite_numbers(values: list) -> bool:
+    """Every element an int or float (a bool is neither) and finite.
+
+    Rows are parsed with ``parse_constant=str``, so ``NaN`` and
+    ``Infinity`` arrive as strings; an overflowing literal such as
+    ``1e999`` arrives as an infinite float, which ``min``/``max`` find.
+    """
+    if not values:
+        return True
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return math.isfinite(min(values)) and math.isfinite(max(values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _row_key(row: Any, kind: str, i: int, declared: set, problems: list) -> str | None:
+    """The declared series key of one parsed row, or ``None`` (problem noted)."""
+    if not isinstance(row, dict) or row.get("kind") != kind:
+        problems.append(f"line {i}: expected a kind={kind} object")
+        return None
+    name = row.get("series")
+    labels = row.get("labels", {})
+    if not isinstance(name, str) or not name:
+        problems.append(f"line {i}: missing series name")
+        return None
+    if not isinstance(labels, dict):
+        problems.append(f"line {i}: labels must be an object")
+        return None
+    key = _series_key(name, {str(k): str(v) for k, v in labels.items()})
+    if key not in declared:
+        problems.append(f"line {i}: undeclared series {key!r}")
+        return None
+    return key
+
+
+def _read_series_rows(
+    lines: list[str], declared: set, store: TimeSeriesStore, problems: list
+) -> int:
+    """Schema 2: one ``kind: series`` row per series, filled in bulk."""
+    count = 0
+    for i, line in enumerate(lines[1:], 2):
+        try:
+            row = json.loads(line, parse_constant=str)
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {i}: not JSON: {exc}")
+            continue
+        key = _row_key(row, "series", i, declared, problems)
+        if key is None:
+            continue
+        t, v = row.get("t"), row.get("v")
+        if not isinstance(t, list) or not isinstance(v, list) or len(t) != len(v):
+            problems.append(f"line {i}: t and v must be lists of equal length")
+        elif not (_finite_numbers(t) and _finite_numbers(v)):
+            problems.append(f"line {i}: t and v must hold finite numbers")
+        elif sorted(t) != t:
+            problems.append(f"line {i}: time goes backwards in {key!r}")
+        elif key in store._series:
+            problems.append(f"line {i}: series {key!r} appears on two rows")
+        elif len(t) > store.max_points:
+            problems.append(f"line {i}: {key!r} holds more than max_points samples")
+        else:
+            store._series[key] = deque(
+                zip(map(float, t), map(float, v)), maxlen=store.max_points
+            )
+            count += len(t)
+    return count
+
+
+def _read_sample_rows(
+    lines: list[str], declared: set, store: TimeSeriesStore, problems: list
+) -> int:
+    """Schema 1: one ``kind: sample`` row per sample."""
+    count = 0
+    last_t: dict[str, float] = {}
+    for i, line in enumerate(lines[1:], 2):
+        try:
+            row = json.loads(line, parse_constant=str)
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {i}: not JSON: {exc}")
+            continue
+        key = _row_key(row, "sample", i, declared, problems)
+        if key is None:
+            continue
+        if not _finite_numbers([row.get("t"), row.get("v")]):
+            problems.append(f"line {i}: t and v must be finite numbers")
+            continue
+        t = float(row["t"])
+        if key in last_t and t < last_t[key]:
+            problems.append(f"line {i}: time goes backwards in {key!r}")
+        last_t[key] = t
+        store.buffer(row["series"], **row.get("labels", {})).append(
+            (t, float(row["v"]))
+        )
+        count += 1
+    return count
 
 
 # ----------------------------------------------------------------------

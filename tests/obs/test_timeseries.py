@@ -1,6 +1,7 @@
 """Tests for repro.obs.timeseries (sampler, store, series.jsonl, top)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -299,7 +300,7 @@ class TestSeriesFile:
         header = json.dumps(
             {
                 "kind": "header",
-                "schema": SERIES_SCHEMA,
+                "schema": 1,
                 "run_id": "r",
                 "interval": 0.1,
                 "series": ["a"],
@@ -321,7 +322,7 @@ class TestSeriesFile:
         header = json.dumps(
             {
                 "kind": "header",
-                "schema": SERIES_SCHEMA,
+                "schema": 1,
                 "run_id": "r",
                 "interval": 0.1,
                 "series": ["a"],
@@ -337,6 +338,232 @@ class TestSeriesFile:
         )
         problems = validate_series([header, fwd, back])
         assert any("backwards" in p for p in problems)
+
+
+def _schema2_doc(rows, *, series=("a",), samples=None, max_points=4096):
+    """A schema-2 document: header line plus one ``kind: series`` row each."""
+    lines = [
+        json.dumps(
+            {
+                "kind": "header",
+                "schema": 2,
+                "run_id": "r",
+                "interval": 0.1,
+                "series": list(series),
+                "samples": sum(len(r["t"]) for r in rows)
+                if samples is None
+                else samples,
+                "max_points": max_points,
+                "meta": {},
+            }
+        )
+    ]
+    for row in rows:
+        lines.append(json.dumps({"kind": "series", "labels": {}, **row}))
+    return lines
+
+
+class TestColumnarSeriesFile:
+    """Schema 2: one line per series, validated in memory and on read."""
+
+    def test_one_line_per_series(self, tmp_path):
+        store = TimeSeriesStore()
+        for i in range(50):
+            store.record("fairness", i * 0.1, 1.0)
+            store.record("device_util", i * 0.1, 0.5, device="a")
+        path = write_series(tmp_path / "series.jsonl", store)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header["schema"] == SERIES_SCHEMA == 2
+        assert len(lines) == 1 + len(header["series"]) == 3
+        row = json.loads(lines[2])
+        assert row["kind"] == "series"
+        assert row["series"] == "device_util"
+        assert row["labels"] == {"device": "a"}
+        assert len(row["t"]) == len(row["v"]) == 50
+
+    def test_round_trip_keeps_ring_size(self, tmp_path):
+        """A store larger than the default ring reads back whole."""
+        store = TimeSeriesStore(max_points=8192)
+        for i in range(5000):
+            store.record("x", float(i), float(i))
+        path = write_series(tmp_path / "series.jsonl", store)
+        header, clone = read_series(path)
+        assert header["max_points"] == 8192
+        assert clone.max_points == 8192
+        assert len(clone) == 5000
+        assert clone.to_payload() == store.to_payload()
+
+    def test_writer_refuses_non_finite_values(self, tmp_path):
+        store = TimeSeriesStore()
+        store.record("x", 0.0, float("nan"))
+        path = tmp_path / "series.jsonl"
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            write_series(path, store)
+        assert not path.exists()
+
+    def test_writer_refuses_time_going_backwards(self, tmp_path):
+        store = TimeSeriesStore()
+        store.record("x", 1.0, 0.0)
+        store.record("x", 0.5, 0.0)
+        path = tmp_path / "series.jsonl"
+        with pytest.raises(ConfigurationError, match="backwards"):
+            write_series(path, store)
+        assert not path.exists()
+
+    def test_valid_document_passes(self):
+        doc = _schema2_doc([{"series": "a", "t": [0.0, 1, 1.0], "v": [1, 2.5, 0]}])
+        assert validate_series(doc) == []
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_rejects_non_finite_in_array(self, literal):
+        row = '{"kind": "series", "series": "a", "labels": {}, ' + (
+            f'"t": [0.0, 1.0], "v": [1.0, {literal}]}}'
+        )
+        header = _schema2_doc([], samples=2)[0]
+        assert any("finite" in p for p in validate_series([header, row]))
+
+    def test_rejects_bools(self):
+        doc = _schema2_doc([{"series": "a", "t": [0.0, 1.0], "v": [1.0, True]}])
+        assert any("finite" in p for p in validate_series(doc))
+
+    def test_rejects_length_mismatch(self):
+        doc = _schema2_doc(
+            [{"series": "a", "t": [0.0, 1.0], "v": [1.0]}], samples=2
+        )
+        assert any("equal length" in p for p in validate_series(doc))
+
+    def test_rejects_time_going_backwards(self):
+        doc = _schema2_doc([{"series": "a", "t": [1.0, 0.5], "v": [0.0, 0.0]}])
+        assert any("backwards" in p for p in validate_series(doc))
+
+    def test_rejects_undeclared_key(self):
+        doc = _schema2_doc([{"series": "b", "t": [0.0], "v": [1.0]}])
+        assert any("undeclared" in p for p in validate_series(doc))
+
+    def test_rejects_key_on_two_rows(self):
+        doc = _schema2_doc(
+            [
+                {"series": "a", "t": [0.0], "v": [1.0]},
+                {"series": "a", "t": [1.0], "v": [1.0]},
+            ]
+        )
+        assert any("two rows" in p for p in validate_series(doc))
+
+    def test_rejects_samples_count_mismatch(self):
+        doc = _schema2_doc([{"series": "a", "t": [0.0], "v": [1.0]}], samples=2)
+        assert any("declares 2 samples" in p for p in validate_series(doc))
+
+    def test_rejects_row_longer_than_the_ring(self):
+        doc = _schema2_doc(
+            [{"series": "a", "t": [0.0, 1.0, 2.0], "v": [1.0, 1.0, 1.0]}],
+            max_points=2,
+        )
+        assert any("max_points" in p for p in validate_series(doc))
+
+    def test_rejects_schema1_rows_under_schema2_header(self):
+        header = _schema2_doc([], samples=1)[0]
+        sample = json.dumps(
+            {"kind": "sample", "series": "a", "labels": {}, "t": 0.0, "v": 1.0}
+        )
+        assert any("kind=series" in p for p in validate_series([header, sample]))
+
+    def test_read_series_raises_on_invalid_file(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        doc = _schema2_doc([{"series": "b", "t": [0.0], "v": [1.0]}])
+        path.write_text("\n".join(doc) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="undeclared"):
+            read_series(path)
+
+
+class TestSchema1SeriesFile:
+    """Files written before the columnar format still read and validate."""
+
+    FIXTURE = Path(__file__).parent / "data" / "series_schema1.jsonl"
+
+    def test_fixture_validates(self):
+        lines = self.FIXTURE.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0])["schema"] == 1
+        assert validate_series(lines) == []
+
+    def test_fixture_reads_back_to_its_store(self):
+        header, store = read_series(self.FIXTURE)
+        expected = TimeSeriesStore()
+        expected.record("fairness", 0.1, 0.9)
+        expected.record("device_util", 0.1, 0.4, device="A.gpu0")
+        expected.record("fairness", 0.2, 0.95)
+        expected.record("device_util", 0.2, 1.0, device="A.gpu0")
+        expected.record("completed_units", 0.2, 128)
+        assert header["run_id"] == "fixture"
+        assert header["meta"] == {"app": "matmul"}
+        assert store.max_points == 4096
+        assert store.keys() == expected.keys()
+        assert store.to_payload() == expected.to_payload()
+
+    def test_rejects_bools(self):
+        header = json.dumps(
+            {"kind": "header", "schema": 1, "series": ["a"], "samples": 1}
+        )
+        sample = json.dumps(
+            {"kind": "sample", "series": "a", "labels": {}, "t": True, "v": False}
+        )
+        assert any("finite" in p for p in validate_series([header, sample]))
+
+    def test_rejects_columnar_rows_under_schema1_header(self):
+        header = json.dumps(
+            {"kind": "header", "schema": 1, "series": ["a"], "samples": 1}
+        )
+        row = json.dumps(
+            {"kind": "series", "series": "a", "labels": {}, "t": [0.0], "v": [1.0]}
+        )
+        assert any("kind=sample" in p for p in validate_series([header, row]))
+
+    def test_rejects_unknown_schema(self):
+        header = json.dumps({"kind": "header", "schema": 3, "series": []})
+        assert any("unsupported schema" in p for p in validate_series([header]))
+
+
+class TestResolvedBuffers:
+    def test_sampled_store_equals_record_rebuild(self, small_cluster):
+        """The sampler's direct appends match ``record()`` value for value."""
+        sampler, _ = _sampled_run(small_cluster, interval=0.0, seed=3)
+        rebuilt = TimeSeriesStore()
+        # replay in time order, one tick at a time, in the sampler's
+        # own series order: per device util/idle/busy, then the cluster
+        devices = [d.device_id for d in small_cluster.devices()]
+        for i in range(sampler.samples_taken):
+            for device in devices:
+                for name in DEVICE_SERIES:
+                    key = _series_key(name, {"device": device})
+                    t, v = sampler.store.points(key)[i]
+                    rebuilt.record(name, t, v, device=device)
+            for name in CLUSTER_SERIES:
+                t, v = sampler.store.points(name)[i]
+                rebuilt.record(name, t, v)
+        assert json.dumps(sampler.store.to_payload()) == json.dumps(
+            rebuilt.to_payload()
+        )
+
+    def test_zero_sample_run_leaves_store_empty(self):
+        sampler = ClusterSampler(1.0)
+        engine = Engine()
+        sampler.start(engine, devices=["a"], total_units=1, work_remaining=lambda: 0)
+        sampler.stop()
+        engine.run()
+        sampler.finish(0.0)
+        assert sampler.store.keys() == []
+        assert sampler.store.to_payload() == {"max_points": 4096, "series": {}}
+
+    def test_buffer_is_the_records_deque(self):
+        store = TimeSeriesStore(max_points=2)
+        buf = store.buffer("util", device="a")
+        assert store.keys() == ["util{device=a}"]
+        store.record("util", 0.0, 1.0, device="a")
+        buf.append((1.0, 2.0))
+        buf.append((2.0, 3.0))
+        assert store.points("util{device=a}") == [(1.0, 2.0), (2.0, 3.0)]
+        with pytest.raises(ConfigurationError):
+            store.buffer("")
 
 
 class TestWindowedGauges:

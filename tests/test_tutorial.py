@@ -288,6 +288,26 @@ class TestTutorialTelemetry:
         for row in report["objectives"]:
             assert row["verdict"] in ("pass", "fail", "no-data")
 
+    def test_series_file_snippet_runs(self, small_cluster, tmp_path):
+        import json
+
+        from repro.obs import read_series, write_series
+
+        sampler, result = self._sampled_result(small_cluster)
+        store = sampler.store
+        path = write_series(
+            tmp_path / "series.jsonl", store, run_id=result.run_id,
+            interval=sampler.interval,
+        )
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert len(lines) == 1 + len(header["series"])
+        row = json.loads(lines[1])
+        assert row["kind"] == "series"
+        assert len(row["t"]) == len(row["v"]) > 0
+        header, clone = read_series(path)
+        assert clone.to_payload() == store.to_payload()
+
     def test_spec_file_snippet_loads(self, tmp_path):
         import json
 
