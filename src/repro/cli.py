@@ -4,52 +4,24 @@ Commands
 --------
 ``run``
     Run one workload under one policy and print the result summary.
-    ``--trace-out trace.json`` additionally exports a Chrome
-    trace-event/Perfetto timeline (with decision instant markers when
-    the policy keeps a ledger); ``--metrics-out metrics.json`` writes
-    the run's telemetry manifest (:class:`repro.obs.RunReport`), or the
-    metrics registry in Prometheus text exposition format with
-    ``--metrics-format prom``; ``--explain-out explain.jsonl`` writes
-    the scheduler decision ledger.  Repeatable fault-injection flags:
-    ``--fail DEV@T`` (permanent failure), ``--perturb DEV@T:FACTOR``
-    (speed change), ``--transient DEV@T+D`` (down at T, back after D).
-    ``--sample-interval S`` attaches the virtual-time cluster sampler
-    (``0`` picks ~makespan/128 automatically); ``--series-out
-    series.jsonl`` records the sampled telemetry; ``--slo FILE``
-    evaluates a declarative SLO spec (``default`` for the built-in one)
-    against the series, stamps ``alert.slo.*`` instants into the trace,
-    writes ``--slo-report-out`` and exits 2 when an objective fails.
+    Every view of that one run is an artifact flag on it:
+    ``--trace-out`` (Chrome/Perfetto timeline carrying every overlay
+    the run computed: decision instants, SLO alerts, CPU profile,
+    critical path), ``--metrics-out`` (:class:`repro.obs.RunReport`
+    JSON, or Prometheus text with ``--metrics-format prom``),
+    ``--explain-out`` (decision and calibration tables plus the
+    ``explain.jsonl`` ledger), ``--critpath-out`` (makespan
+    attribution, what-if bounds and decision blame plus
+    ``critpath.json``; exit 2 when the analysis or the busy-overlap
+    invariant fails), ``--profile`` / ``--flame`` / ``--collapsed`` /
+    ``--profile-out`` (phase-attributed CPU profile), and
+    ``--sample-interval`` / ``--series-out`` / ``--slo`` /
+    ``--slo-report-out`` (virtual-time telemetry and the SLO gate, exit
+    2 on a failed objective).  Repeatable fault-injection flags:
+    ``--fail DEV@T``, ``--perturb DEV@T:FACTOR``, ``--transient DEV@T+D``.
 ``top``
-    Render a recorded ``series.jsonl`` as a terminal cluster view
-    (per-device utilization sparklines, backlog/goodput strips,
-    fairness, optional SLO verdicts from ``--slo-report``).  ``--once``
-    prints a single frame for CI; without it the view follows the file,
-    refreshing every ``--interval`` seconds.
-``explain``
-    Run one workload and explain every scheduler decision: trigger
-    (probe round / selection / rebalance / fault / recovery), solver
-    outcome (iterations, KKT error, fallback stage), allocation, and
-    how the per-device block-time predictions calibrated against what
-    actually executed (MAPE, signed bias, EWMA drift).  Accepts the
-    same fault-injection flags as ``run``; ``--out explain.jsonl``
-    writes the run-id-correlated ledger artifact.
-``trace``
-    Run one workload and write the Perfetto/Chrome timeline to
-    ``--out`` (default ``trace.json``) — shorthand for
-    ``run --trace-out``.
-``why``
-    Run one workload and explain its *makespan*: extract the critical
-    path from the execution trace and attribute 100 % of the end-to-end
-    time into compute / transfer / idle / solver / retries /
-    fault-recovery / rework, with what-if lower bounds (zero-transfer,
-    zero-scheduler, perfect-balance, per-device k×-faster sensitivity)
-    and a decision-blame join against the scheduler ledger.  Accepts
-    the same fault-injection flags as ``run``; writes the
-    schema-validated ``critpath.json`` artifact (``--out``, ``-`` to
-    skip).  ``--assert-bound`` turns the attribution guarantees into a
-    gate: exit 2 unless the categories sum to the makespan, every
-    bound is ≤ the observed makespan, the path is non-empty, and the
-    busy-interval invariant holds.
+    Render a recorded ``series.jsonl`` as a terminal cluster view;
+    ``--once`` prints a single frame for CI.
 ``compare``
     Run all four paper policies on one workload and print the
     comparison table.  ``--trace-out`` re-runs each policy once at the
@@ -76,7 +48,8 @@ Commands
     docs/TUTORIAL.md §9.  ``--serve`` runs the campaign against
     *service episodes* instead of batch runs: the same seeded fault
     schedules are injected while the cluster keeps admitting, shedding
-    and completing jobs; see docs/TUTORIAL.md §13.
+    and completing jobs (``--dashboard``/``--history`` are rejected
+    there); see docs/TUTORIAL.md §13.
 ``serve``
     Host the cluster as an online service: seeded open-loop Poisson
     arrivals (``--pattern constant|diurnal|bursty``) flow through a
@@ -88,14 +61,6 @@ Commands
     (``--scorecard-out``) and the sampled ``serve_*`` telemetry
     (``--series-out``), and gates on an SLO spec (``--slo``, exit 2
     on violation).  Equal seeds produce byte-identical scorecards.
-``profile``
-    Run one workload under the deterministic phase-attributed CPU
-    profiler and write a flamegraph SVG (``--flame``), a collapsed-stack
-    file for flamegraph.pl / speedscope (``--collapsed``), the raw
-    snapshot (``--json``) and/or profile slices merged into a Perfetto
-    timeline (``--trace-out``).  ``run``/``compare`` accept a
-    ``--profile`` flag for the same capture in passing.
-
 Sweep-driving commands accept ``--jobs N`` (default: the ``REPRO_JOBS``
 environment variable, else the CPU count) and honour ``REPRO_CACHE``
 for on-disk result caching; see docs/TUTORIAL.md §5.  ``REPRO_PROFILE=1``
@@ -114,8 +79,7 @@ Examples
 
     python -m repro run --app matmul --size 16384 --policy plb-hec
     python -m repro run --app matmul --size 4096 --trace-out trace.json
-    python -m repro why --app matmul --size 4096 --out critpath.json
-    python -m repro trace --app grn --size 2048 --out grn.json
+    python -m repro run --app matmul --size 4096 --critpath-out critpath.json
     python -m repro --log-format json compare --app blackscholes --size 500000
     python -m repro fig4 --app matmul --fast
     python -m repro fig7
@@ -172,9 +136,9 @@ __all__ = ["main", "build_parser", "EXIT_CODE_TABLE"]
 EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (0, "ok", "command completed and every gate it ran passed"),
     (1, "error", "usage or data error: bad configuration, missing "
-     "artifact (top without a series), policy without a ledger (explain)"),
+     "artifact (top without a series)"),
     (2, "regressed", "a gate failed: "
-     "run/serve --slo objective violation, or why --assert-bound breach "
+     "run/serve --slo objective violation, or run --critpath-out breach "
      "(attribution != makespan, bound > makespan, empty path, "
      "busy-overlap)"),
     (3, "chaos", "chaos campaign (batch or --serve) finished with "
@@ -183,7 +147,7 @@ EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
 )
 
 
-#: The code a failed gate (``--slo``, ``why --assert-bound``) exits with.
+#: The code a failed gate (``--slo``, ``run --critpath-out``) exits with.
 _EXIT_REGRESSED = next(c for c, name, _ in EXIT_CODE_TABLE if name == "regressed")
 
 
@@ -295,8 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-out",
         metavar="PATH",
         default=None,
-        help="also write the scheduler decision ledger as explain.jsonl "
-        "(policies without a ledger skip this with a note)",
+        help="print the scheduler decision and calibration tables and "
+        "write the decision ledger as explain.jsonl (policies without a "
+        "ledger skip this with a note)",
+    )
+    p_run.add_argument(
+        "--critpath-out",
+        metavar="PATH",
+        default=None,
+        help="print the makespan attribution, what-if bounds and decision "
+        "blame and write critpath.json (only when it validates); exit 2 "
+        "if the attribution is not exact, a bound exceeds the makespan, "
+        "the path is empty, or busy intervals overlap",
     )
     p_run.add_argument(
         "--profile",
@@ -304,6 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="capture a phase-attributed CPU profile and print the "
         "per-phase breakdown and hot functions",
     )
+    for flag, what in (
+        ("--flame", "flamegraph SVG (self-contained, dark-mode aware)"),
+        ("--collapsed", "collapsed stacks for flamegraph.pl / speedscope"),
+        ("--profile-out", "raw profile snapshot JSON"),
+    ):
+        p_run.add_argument(
+            flag, metavar="PATH", default=None,
+            help=f"write the CPU profile as a {what} (implies --profile)",
+        )
     p_run.add_argument(
         "--sample-interval",
         type=float,
@@ -376,72 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sparkline width in characters (default 40)",
     )
 
-    p_explain = sub.add_parser(
-        "explain",
-        help="run one workload and explain every scheduler decision "
-        "(trigger, solver outcome, allocation, prediction calibration)",
-    )
-    add_workload_args(p_explain)
-    add_policy_arg(p_explain)
-    add_fault_args(p_explain)
-    p_explain.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the ledger as a run-id-correlated explain.jsonl",
-    )
-
-    p_trace = sub.add_parser(
-        "trace", help="run one workload and export its Perfetto timeline"
-    )
-    add_workload_args(p_trace)
-    add_policy_arg(p_trace)
-    p_trace.add_argument(
-        "--out",
-        metavar="PATH",
-        default="trace.json",
-        help="trace output path (default: trace.json)",
-    )
-
-    p_why = sub.add_parser(
-        "why",
-        help="explain a run's makespan: critical path, 100%% attribution, "
-        "what-if headroom bounds",
-    )
-    add_workload_args(p_why)
-    add_policy_arg(p_why)
-    add_fault_args(p_why)
-    p_why.add_argument(
-        "--out",
-        metavar="PATH",
-        default="critpath.json",
-        help="schema-validated analysis artifact "
-        "(default: critpath.json, '-' to skip)",
-    )
-    p_why.add_argument(
-        "--speedup-factor",
-        type=float,
-        default=2.0,
-        metavar="K",
-        help="k for the per-device 'if X were k× faster' sensitivity "
-        "bounds (default 2)",
-    )
-    p_why.add_argument(
-        "--assert-bound",
-        action="store_true",
-        help="exit 2 unless the attribution is exact (categories sum to "
-        "the makespan), every bound is <= the observed makespan, the "
-        "critical path is non-empty, and per-worker busy intervals "
-        "never overlap",
-    )
-    p_why.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="also export the Perfetto timeline with critical-path "
-        "slices recolored and chained by flow arrows",
-    )
-
     def add_jobs_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs",
@@ -465,45 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="profile every run and print the merged hot-function table "
         "(disables the result cache for this comparison)",
-    )
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="run one workload under the phase-attributed CPU profiler",
-    )
-    add_workload_args(p_prof)
-    add_policy_arg(p_prof)
-    p_prof.add_argument(
-        "--flame",
-        metavar="PATH",
-        default="profile.svg",
-        help="flamegraph SVG output (self-contained, dark-mode aware; "
-        "default: profile.svg, '-' to skip)",
-    )
-    p_prof.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        default=None,
-        help="collapsed-stack output for flamegraph.pl / speedscope.app",
-    )
-    p_prof.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        dest="json_out",
-        help="raw profile snapshot (phases, functions, caller edges)",
-    )
-    p_prof.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="Perfetto timeline with the profile as its own process group",
-    )
-    p_prof.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="hot functions to print (default 10)",
     )
 
     sub.add_parser("table1", help="render Table I")
@@ -599,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="chaos against the living cluster: inject the fault "
         "schedules into service episodes (repro serve) instead of "
-        "batch runs; --app/--size are ignored, --policies takes "
-        "balancer flavors (plb-hec,fair,greedy)",
+        "batch runs; --app/--size are ignored, --dashboard/--history "
+        "are rejected, --policies takes balancer flavors "
+        "(plb-hec,fair,greedy)",
     )
     p_chaos.add_argument(
         "--rate",
@@ -852,7 +731,11 @@ def _run_config(args: argparse.Namespace, policy_name: str) -> dict:
     }
 
 
-def _print_profile_summary(snapshot: dict, *, top: int = 10) -> None:
+def _fmt_opt(value, pattern: str) -> str:
+    return pattern.format(value) if value is not None else "-"
+
+
+def _print_profile_summary(snapshot: dict) -> None:
     """Print the per-phase breakdown and hot-function tables."""
     from repro.obs.profiler import hot_functions, phase_breakdown
 
@@ -873,7 +756,7 @@ def _print_profile_summary(snapshot: dict, *, top: int = 10) -> None:
             title="CPU time by phase",
         )
     )
-    rows = hot_functions(snapshot, top=top)
+    rows = hot_functions(snapshot, top=10)
     if rows:
         print()
         print(
@@ -898,8 +781,6 @@ def _print_profile_summary(snapshot: dict, *, top: int = 10) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.profiler import profiling
 
-    if args.slo_report_out and not args.slo:
-        raise ConfigurationError("--slo-report-out requires --slo")
     sampler = None
     if (
         args.sample_interval is not None
@@ -912,7 +793,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
     prof_snapshot = None
     with push_run_id(run_id):
-        if args.profile:
+        if args.profile or args.flame or args.collapsed or args.profile_out:
             with profiling() as prof:
                 policy, result = _simulate(args, args.policy, sampler=sampler)
             prof_snapshot = prof.snapshot()
@@ -940,19 +821,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if prof_snapshot is not None:
         _print_profile_summary(prof_snapshot)
+        _write_profile(args, prof_snapshot, policy.name)
     ledger_dict = result.ledger.to_dict() if result.ledger is not None else None
     exit_code = 0
     alerts = None
     if sampler is not None:
         exit_code, alerts = _run_telemetry(args, sampler, run_id, policy.name)
+    if args.explain_out:
+        _explain(args, ledger_dict, policy.name)
+    critpath = None
+    if args.critpath_out:
+        critpath, ok = _critpath(args, trace, policy.name)
+        if not ok:
+            exit_code = _EXIT_REGRESSED
     if args.trace_out:
         doc = trace_to_chrome(
-            result.trace,
+            trace,
             run_id=run_id,
             metadata=_run_config(args, policy.name),
             profile=prof_snapshot,
             decisions=ledger_dict.get("decisions") if ledger_dict else None,
             alerts=alerts,
+            critpath=critpath,
         )
         path = write_chrome_trace(doc, args.trace_out)
         print(f"trace written to {path}")
@@ -967,7 +857,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 makespan=result.makespan,
                 rebalances=result.num_rebalances,
                 solver_overhead_s=result.solver_overhead_s,
-                phase_summary=result.trace.phase_summary(),
+                phase_summary=trace.phase_summary(),
                 metrics=get_registry().snapshot(),
                 run_id=run_id,
             )
@@ -976,26 +866,229 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 encoding="utf-8",
             )
         print(f"metrics written to {args.metrics_out} ({args.metrics_format})")
-    if args.explain_out:
-        if result.ledger is None:
-            print(
-                f"no decision ledger: policy {policy.name!r} keeps none "
-                "(--explain-out skipped)"
-            )
-        else:
-            from repro.obs.ledger import write_explain
-
-            write_explain(ledger_dict, args.explain_out)
-            print(
-                f"explain ledger written to {args.explain_out} "
-                f"({len(ledger_dict['decisions'])} decision(s))"
-            )
     if args.gantt:
         from repro.util.gantt import render_gantt
 
         print()
-        print(render_gantt(result.trace))
+        print(render_gantt(trace))
     return exit_code
+
+
+def _write_profile(
+    args: argparse.Namespace, snapshot: dict, policy_name: str
+) -> None:
+    """``run``'s profile artifacts: flamegraph, collapsed stacks, snapshot."""
+    from repro.obs.profiler import (
+        collapsed_stacks,
+        write_collapsed,
+        write_flamegraph,
+    )
+
+    if args.flame:
+        path = write_flamegraph(
+            args.flame,
+            snapshot,
+            title=f"{args.app} size={args.size} {policy_name} — "
+            "phase-attributed CPU profile",
+        )
+        print(f"flamegraph written to {path}")
+    if args.collapsed:
+        lines = collapsed_stacks(snapshot)
+        path = write_collapsed(args.collapsed, lines)
+        print(f"collapsed stacks written to {path} ({len(lines)} stacks)")
+    if args.profile_out:
+        Path(args.profile_out).write_text(
+            json.dumps(snapshot, indent=2, sort_keys=True), encoding="utf-8"
+        )
+        print(f"profile snapshot written to {args.profile_out}")
+
+
+def _explain(
+    args: argparse.Namespace, data: dict | None, policy_name: str
+) -> None:
+    """``run --explain-out``: decision and calibration tables, the ledger."""
+    if data is None:
+        print(
+            f"no decision ledger: policy {policy_name!r} keeps none "
+            "(--explain-out skipped)"
+        )
+        return
+    from repro.obs.ledger import decision_rows, write_explain
+
+    rows = []
+    for row in decision_rows(data):
+        method = row["method"]
+        if row["fallback_stage"]:
+            method = f"{method} [!]"
+        rows.append(
+            [
+                row["id"],
+                f"{row['t']:.4f}",
+                row["trigger"],
+                method,
+                row["iterations"],
+                _fmt_opt(row["kkt_error"], "{:.1e}"),
+                _fmt_opt(row["predicted_time"], "{:.4f}"),
+                row["devices"],
+                row["blocks"],
+                _fmt_opt(row["mape"], "{:.1%}"),
+            ]
+        )
+    print(
+        format_table(
+            ["id", "t_s", "trigger", "method", "iters", "kkt", "pred_s",
+             "devices", "blocks", "mape"],
+            rows,
+            title=f"Scheduler decisions: {args.app} size={args.size} "
+            f"machines={args.machines} policy={policy_name} seed={args.seed}",
+        )
+    )
+    calibration = data.get("calibration", {})
+    if calibration:
+        print()
+        print(
+            format_table(
+                ["device", "scored", "skipped", "mape", "bias", "drift"],
+                [
+                    [
+                        device,
+                        c.get("blocks", 0),
+                        c.get("skipped", 0),
+                        _fmt_opt(c.get("mape"), "{:.1%}"),
+                        _fmt_opt(c.get("bias"), "{:+.1%}"),
+                        _fmt_opt(c.get("drift"), "{:+.1%}"),
+                    ]
+                    for device, c in sorted(calibration.items())
+                ],
+                title="Prediction calibration (relative error vs observed)",
+            )
+        )
+    attribution = data.get("attribution", {})
+    attributed = int(attribution.get("attributed", 0) or 0)
+    total = attributed + int(attribution.get("unattributed", 0) or 0)
+    coverage = attributed / total if total else 0.0
+    # the ledger lists fired fallback stages in decision order
+    stage_counts: dict[str, int] = {}
+    for stage in data.get("fallback_stages", ()):
+        stage_counts[stage] = stage_counts.get(stage, 0) + 1
+    decisions = len(data.get("decisions", []))
+    print(
+        f"\n{decisions} decision(s), "
+        f"{attributed}/{total} executed block(s) attributed "
+        f"({coverage:.0%} coverage)"
+        + (
+            "; fallback stages used: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(stage_counts.items()))
+            if stage_counts
+            else ""
+        )
+    )
+    write_explain(data, args.explain_out)
+    print(
+        f"explain ledger written to {args.explain_out} "
+        f"({decisions} decision(s))"
+    )
+
+
+def _critpath(
+    args: argparse.Namespace, trace, policy_name: str
+) -> tuple[dict, bool]:
+    """``run --critpath-out``: attribution, what-if bounds, decision blame.
+
+    Writes ``critpath.json`` only when the analysis validates and
+    returns ``(analysis, ok)``; ``ok`` is False when validation or the
+    busy-overlap invariant reports a problem (the run then exits 2).
+    """
+    import math
+
+    from repro.obs.critpath import (
+        CATEGORIES,
+        analyze_trace,
+        category_shares,
+        validate_critpath,
+        write_critpath,
+    )
+    from repro.resilience.invariants import check_busy_overlap
+
+    analysis = analyze_trace(trace)
+    makespan = analysis["makespan"]
+    shares = category_shares(analysis)
+    print(
+        format_table(
+            ["category", "seconds", "share"],
+            [
+                [cat, analysis["categories"][cat], f"{shares[cat]:.1%}"]
+                for cat in CATEGORIES
+            ],
+            title=f"Makespan attribution: {args.app} size={args.size} "
+            f"machines={args.machines} policy={policy_name} seed={args.seed}",
+        )
+    )
+    residual = abs(
+        math.fsum(analysis["categories"].values()) - makespan
+    )
+    print(
+        f"makespan {makespan:.4f}s fully attributed "
+        f"(residual {residual:.1e}); critical path: "
+        f"{analysis['path_tasks']} task(s) over "
+        f"{len(analysis['devices_on_path'])} device(s)"
+    )
+    bottleneck = analysis["bottleneck"]
+    if bottleneck:
+        print(
+            f"bottleneck: {bottleneck['device']} carries "
+            f"{bottleneck['busy_s']:.4f}s of the path "
+            f"({bottleneck['share']:.0%} of the makespan, "
+            f"{bottleneck['tasks']} task(s), {bottleneck['units']} unit(s))"
+        )
+    bounds = analysis["bounds"]
+    rows = [
+        ["zero-transfer", bounds["zero_transfer"]],
+        ["zero-scheduler", bounds["zero_scheduler"]],
+        ["perfect-balance", bounds["perfect_balance"]],
+    ] + [
+        [f"{device} {bounds['speedup_factor']:g}x faster", bound]
+        for device, bound in sorted(bounds["device_speedup"].items())
+    ]
+    print()
+    print(
+        format_table(
+            ["what-if", "bound_s", "headroom"],
+            [
+                [
+                    name,
+                    bound,
+                    f"{(makespan - bound) / makespan:.1%}"
+                    if makespan > 0
+                    else "-",
+                ]
+                for name, bound in rows
+            ],
+            title="What-if lower bounds (headroom vs observed makespan)",
+        )
+    )
+    if analysis["decisions"]:
+        blamed = ", ".join(
+            f"{d['id']} ({d['busy_s']:.4f}s over {d['tasks']} task(s))"
+            for d in analysis["decisions"][:5]
+        )
+        print(f"decisions on the critical path: {blamed}")
+    invalid = validate_critpath(analysis)
+    problems = invalid + [
+        f"busy-overlap: {v.message}" for v in check_busy_overlap(trace)
+    ]
+    for problem in problems:
+        print(f"critpath: {problem}", file=sys.stderr)
+    if invalid:
+        print(
+            f"critpath: not writing {args.critpath_out} "
+            "(analysis failed validation)",
+            file=sys.stderr,
+        )
+    else:
+        path = write_critpath(args.critpath_out, analysis)
+        print(f"critpath written to {path}")
+    return analysis, not problems
 
 
 def _run_telemetry(
@@ -1052,10 +1145,6 @@ def _slo_gate(
     report = evaluate_slo(spec, store, run_id=run_id)
     emit_slo_alerts(report)
     detect_slo_anomalies(report)
-
-    def fmt_opt(value, pattern: str) -> str:
-        return pattern.format(value) if value is not None else "-"
-
     print(
         format_table(
             ["objective", "expr", "verdict", "measured", "burn", "severity"],
@@ -1064,8 +1153,8 @@ def _slo_gate(
                     row["name"],
                     row["expr"],
                     row["verdict"],
-                    fmt_opt(row["measured"], "{:.4g}"),
-                    fmt_opt(row["burn_rate"], "{:.2f}x"),
+                    _fmt_opt(row["measured"], "{:.4g}"),
+                    _fmt_opt(row["burn_rate"], "{:.2f}x"),
                     row["severity"],
                 ]
                 for row in report["objectives"]
@@ -1124,227 +1213,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         pass
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import decision_rows, write_explain
-
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
-    if result.ledger is None:
-        print(
-            f"policy {policy.name!r} keeps no decision ledger; "
-            "nothing to explain (try --policy plb-hec)"
-        )
-        return 1
-    data = result.ledger.to_dict()
-
-    def fmt_opt(value, pattern: str) -> str:
-        return pattern.format(value) if value is not None else "-"
-
-    rows = []
-    for row in decision_rows(data):
-        method = row["method"]
-        if row["fallback_stage"]:
-            method = f"{method} [!]"
-        rows.append(
-            [
-                row["id"],
-                f"{row['t']:.4f}",
-                row["trigger"],
-                method,
-                row["iterations"],
-                fmt_opt(row["kkt_error"], "{:.1e}"),
-                fmt_opt(row["predicted_time"], "{:.4f}"),
-                row["devices"],
-                row["blocks"],
-                fmt_opt(row["mape"], "{:.1%}"),
-            ]
-        )
-    print(
-        format_table(
-            ["id", "t_s", "trigger", "method", "iters", "kkt", "pred_s",
-             "devices", "blocks", "mape"],
-            rows,
-            title=f"Scheduler decisions: {args.app} size={args.size} "
-            f"machines={args.machines} policy={policy.name} seed={args.seed}",
-        )
-    )
-    calibration = data.get("calibration", {})
-    if calibration:
-        print()
-        print(
-            format_table(
-                ["device", "scored", "skipped", "mape", "bias", "drift"],
-                [
-                    [
-                        device,
-                        c.get("blocks", 0),
-                        c.get("skipped", 0),
-                        fmt_opt(c.get("mape"), "{:.1%}"),
-                        fmt_opt(c.get("bias"), "{:+.1%}"),
-                        fmt_opt(c.get("drift"), "{:+.1%}"),
-                    ]
-                    for device, c in sorted(calibration.items())
-                ],
-                title="Prediction calibration (relative error vs observed)",
-            )
-        )
-    attribution = data.get("attribution", {})
-    attributed = int(attribution.get("attributed", 0) or 0)
-    total = attributed + int(attribution.get("unattributed", 0) or 0)
-    coverage = attributed / total if total else 0.0
-    # the ledger lists fired fallback stages in decision order
-    stage_counts: dict[str, int] = {}
-    for stage in data.get("fallback_stages", ()):
-        stage_counts[stage] = stage_counts.get(stage, 0) + 1
-    print(
-        f"\n{len(data.get('decisions', []))} decision(s), "
-        f"{attributed}/{total} executed block(s) attributed "
-        f"({coverage:.0%} coverage)"
-        + (
-            "; fallback stages used: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(stage_counts.items()))
-            if stage_counts
-            else ""
-        )
-    )
-    if args.out:
-        write_explain(data, args.out)
-        print(
-            f"explain ledger written to {args.out} "
-            f"({len(data.get('decisions', []))} decision(s))"
-        )
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
-    path = write_chrome_trace(
-        result.trace,
-        args.out,
-        run_id=run_id,
-        metadata=_run_config(args, policy.name),
-    )
-    print(
-        f"trace written to {path} "
-        f"(makespan {result.makespan:.4f}s, "
-        f"{result.num_rebalances} rebalances); "
-        "load it at https://ui.perfetto.dev or chrome://tracing"
-    )
-    return 0
-
-
-def _cmd_why(args: argparse.Namespace) -> int:
-    import math
-
-    from repro.obs.critpath import (
-        CATEGORIES,
-        analyze_trace,
-        category_shares,
-        validate_critpath,
-        write_critpath,
-    )
-    from repro.resilience.invariants import check_busy_overlap
-
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
-    analysis = analyze_trace(
-        result.trace, speedup_factor=args.speedup_factor
-    )
-    overlaps = check_busy_overlap(result.trace)
-    makespan = analysis["makespan"]
-    shares = category_shares(analysis)
-    print(
-        format_table(
-            ["category", "seconds", "share"],
-            [
-                [cat, analysis["categories"][cat], f"{shares[cat]:.1%}"]
-                for cat in CATEGORIES
-            ],
-            title=f"Makespan attribution: {args.app} size={args.size} "
-            f"machines={args.machines} policy={policy.name} seed={args.seed}",
-        )
-    )
-    residual = abs(
-        math.fsum(analysis["categories"].values()) - makespan
-    )
-    print(
-        f"makespan {makespan:.4f}s fully attributed "
-        f"(residual {residual:.1e}); critical path: "
-        f"{analysis['path_tasks']} task(s) over "
-        f"{len(analysis['devices_on_path'])} device(s)"
-    )
-    bottleneck = analysis["bottleneck"]
-    if bottleneck:
-        print(
-            f"bottleneck: {bottleneck['device']} carries "
-            f"{bottleneck['busy_s']:.4f}s of the path "
-            f"({bottleneck['share']:.0%} of the makespan, "
-            f"{bottleneck['tasks']} task(s), {bottleneck['units']} unit(s))"
-        )
-    bounds = analysis["bounds"]
-    rows = [
-        ["zero-transfer", bounds["zero_transfer"]],
-        ["zero-scheduler", bounds["zero_scheduler"]],
-        ["perfect-balance", bounds["perfect_balance"]],
-    ] + [
-        [f"{device} {args.speedup_factor:g}x faster", bound]
-        for device, bound in sorted(bounds["device_speedup"].items())
-    ]
-    print()
-    print(
-        format_table(
-            ["what-if", "bound_s", "headroom"],
-            [
-                [
-                    name,
-                    bound,
-                    f"{(makespan - bound) / makespan:.1%}"
-                    if makespan > 0
-                    else "-",
-                ]
-                for name, bound in rows
-            ],
-            title="What-if lower bounds (headroom vs observed makespan)",
-        )
-    )
-    if analysis["decisions"]:
-        top = analysis["decisions"][:5]
-        blamed = ", ".join(
-            f"{d['id']} ({d['busy_s']:.4f}s over {d['tasks']} task(s))"
-            for d in top
-        )
-        print(f"decisions on the critical path: {blamed}")
-    problems = validate_critpath(analysis)
-    problems += [f"busy-overlap: {v.message}" for v in overlaps]
-    for problem in problems:
-        print(f"why: {problem}", file=sys.stderr)
-    if args.out and args.out != "-":
-        if validate_critpath(analysis):
-            print(
-                f"why: not writing {args.out} (analysis failed validation)",
-                file=sys.stderr,
-            )
-        else:
-            path = write_critpath(args.out, analysis)
-            print(f"critpath written to {path}")
-    if args.trace_out:
-        doc = trace_to_chrome(
-            result.trace,
-            run_id=run_id,
-            metadata=_run_config(args, policy.name),
-            critpath=analysis,
-        )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
-    if args.assert_bound and problems:
-        return _EXIT_REGRESSED
     return 0
 
 
@@ -1421,62 +1289,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             labelled,
             run_id=run_id,
             metadata=_run_config(args, "compare"),
-        )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profiler import (
-        collapsed_stacks,
-        phase_breakdown,
-        profiling,
-        write_collapsed,
-        write_flamegraph,
-    )
-
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        with profiling() as prof:
-            policy, result = _simulate(args, args.policy)
-    snapshot = prof.snapshot()
-
-    named = sum(d["share"] for d in phase_breakdown(snapshot).values())
-    print(
-        f"profiled {args.app} size={args.size} machines={args.machines} "
-        f"policy={policy.name}: makespan {result.makespan:.4f}s, "
-        f"{snapshot['total_self_s'] * 1e3:.1f}ms profiled host CPU, "
-        f"{named:.1%} attributed to a named phase"
-    )
-    _print_profile_summary(snapshot, top=args.top)
-    print()
-    if args.flame and args.flame != "-":
-        path = write_flamegraph(
-            args.flame,
-            snapshot,
-            title=f"{args.app} size={args.size} {policy.name} — "
-            "phase-attributed CPU profile",
-        )
-        print(f"flamegraph written to {path}")
-    if args.collapsed:
-        lines = collapsed_stacks(snapshot)
-        path = write_collapsed(args.collapsed, lines)
-        print(
-            f"collapsed stacks written to {path} ({len(lines)} stacks); "
-            "load at https://speedscope.app or pipe through flamegraph.pl"
-        )
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        print(f"profile snapshot written to {args.json_out}")
-    if args.trace_out:
-        doc = trace_to_chrome(
-            result.trace,
-            run_id=run_id,
-            metadata=_run_config(args, policy.name),
-            profile=snapshot,
         )
         path = write_chrome_trace(doc, args.trace_out)
         print(f"trace written to {path}")
@@ -1702,6 +1514,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import ChaosConfig, run_campaign
 
     if args.serve:
+        for flag in ("dashboard", "history"):
+            if getattr(args, flag) is not None:
+                raise ConfigurationError(
+                    f"chaos --serve does not support --{flag}"
+                )
         return _cmd_serve_chaos(args)
     if args.policies:
         policies = tuple(
@@ -1798,20 +1615,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_from_env(level=args.log_level, fmt=args.log_format)
+    # run and serve share the SLO flags, so they share this check
+    if getattr(args, "slo_report_out", None) and not args.slo:
+        raise ConfigurationError("--slo-report-out requires --slo")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "top":
         return _cmd_top(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "why":
-        return _cmd_why(args)
     if args.command == "compare":
         return _cmd_compare(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "table1":
         print(render_table1())
         return 0

@@ -11,9 +11,9 @@ The legs every experiment stands on:
   (JSON-lines with ``--log-format json``);
 * :mod:`repro.obs.trace_export` — Chrome trace-event / Perfetto export
   of :class:`~repro.sim.trace.ExecutionTrace` objects
-  (``python -m repro trace ... --out trace.json``);
+  (``python -m repro run ... --trace-out trace.json``);
 * :mod:`repro.obs.profiler` — deterministic phase-attributed CPU
-  profiling (``repro profile``, ``--profile`` on run/compare):
+  profiling (``--profile``/``--flame`` on run, ``--profile`` on compare):
   collapsed stacks, flamegraph SVGs, hot-function tables;
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` manifest
   cached alongside sweep results;
@@ -25,7 +25,7 @@ The legs every experiment stands on:
 * :mod:`repro.obs.ledger` — the scheduler decision ledger: one record
   per partition decision (trigger, model state, solver outcome,
   allocation, predictions) with per-block attribution, serialized as
-  the ``explain.jsonl`` artifact behind ``repro explain``;
+  the ``explain.jsonl`` artifact (``repro run --explain-out``);
 * :mod:`repro.obs.calibration` — pure predicted-vs-observed math
   (MAPE, signed bias, EWMA drift) the ledger accumulates per device;
 * :mod:`repro.obs.timeseries` — the virtual-time cluster sampler and
@@ -35,8 +35,8 @@ The legs every experiment stands on:
   recorded series (``p95(device_idle_frac) < 0.2``), error budgets with
   burn rates, and the ``alert.slo.*`` alert rules (``repro run --slo``);
 * :mod:`repro.obs.critpath` — critical-path extraction and 100 %
-  makespan attribution with what-if lower bounds (``repro why``,
-  ``critpath.json``);
+  makespan attribution with what-if lower bounds (``repro run
+  --critpath-out critpath.json``);
 * :mod:`repro.obs.dashboard` — the self-contained HTML dashboard
   (``repro dashboard``).
 """

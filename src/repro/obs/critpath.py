@@ -25,7 +25,8 @@ the makespan:
 Because the walk partitions ``[0, makespan]`` into contiguous,
 non-overlapping segments, the category totals sum to the makespan *by
 construction* (``abs(sum(categories) - makespan) < 1e-9`` — asserted by
-``repro why --assert-bound`` and the CI smoke step).
+``repro run --critpath-out``, which exits 2 otherwise, and the CI smoke
+step).
 
 On top of the attribution the module derives **what-if lower bounds**
 (all provably ``<= makespan``):

@@ -745,8 +745,8 @@ def _section_critpath(critpath: Mapping[str, Any]) -> str:
     if not critpath or not critpath.get("path"):
         return (
             "<section><h2>Critical path</h2><p class='empty'>no "
-            "critical-path analysis (run <code>repro why</code> for a "
-            "standalone report)</p></section>"
+            "critical-path analysis (run <code>repro run --critpath-out"
+            "</code> for a standalone report)</p></section>"
         )
     from repro.obs.critpath import CATEGORIES, category_shares
 
@@ -834,7 +834,8 @@ def _section_critpath(critpath: Mapping[str, Any]) -> str:
         f"{int(critpath.get('path_tasks', 0))} task(s) on the path, "
         f"compute {shares['compute'] * 100:.1f}%, idle "
         f"{shares['idle'] * 100:.1f}%, solver "
-        f"{shares['solver'] * 100:.1f}% (<code>repro why</code>)</p>"
+        f"{shares['solver'] * 100:.1f}% "
+        "(<code>repro run --critpath-out</code>)</p>"
         + _legend([(c, _CRITPATH_COLORS[c]) for c, _v, _col in bars])
         + _hbar_chart(bars, unit="s")
         + "<h2 style='margin-top:18px'>What-if lower bounds</h2>"
@@ -922,7 +923,7 @@ def _section_decisions(ledger: Mapping[str, Any]) -> str:
         return (
             "<section><h2>Scheduler decisions</h2><p class='empty'>no "
             "decision ledger (policy keeps none, or the run predates "
-            "<code>repro explain</code>)</p></section>"
+            "the ledger)</p></section>"
         )
     decisions = list(decision_rows(dict(ledger)))
     attribution = dict(ledger.get("attribution", {}))
@@ -1043,7 +1044,7 @@ def _section_decisions(ledger: Mapping[str, Any]) -> str:
         "<p class='sub'>the decision ledger of the live PLB-HeC run above "
         "— every partition the scheduler committed to, what the solver "
         "reported, and how its block-time predictions calibrated against "
-        "execution (<code>repro explain</code>)</p>"
+        "execution (<code>repro run --explain-out</code>)</p>"
         f'<div class="tiles">{tiles_html}</div>'
         + table
         + "<h2 style='margin-top:18px'>Prediction calibration</h2>"

@@ -14,8 +14,8 @@ with the id of the decision that placed it, and on completion the
 policy feeds the ``(predicted, observed)`` pair back via
 :meth:`DecisionLedger.attribute`.  The ledger accumulates residuals per
 (decision, device) and per-device whole-run calibration
-(:mod:`repro.obs.calibration`), which is what ``repro explain``, the
-``explain.jsonl`` artifact, the ``plbhec.calibration.*`` gauges and the
+(:mod:`repro.obs.calibration`), which is what ``repro run
+--explain-out`` (its tables and ``explain.jsonl`` artifact), the ``plbhec.calibration.*`` gauges and the
 dashboard's "Scheduler decisions" section all render.
 
 Determinism: a ledger contains virtual times and pure solver/model
@@ -435,7 +435,8 @@ def read_explain(path: str) -> dict:
 def decision_rows(data: dict) -> Iterable[dict]:
     """Flatten a ledger dict into per-decision display rows.
 
-    Shared by ``repro explain`` and the dashboard's decision table.
+    Shared by ``repro run --explain-out`` and the dashboard's decision
+    table.
     """
     for d in data.get("decisions", []):
         observed = d.get("observed", {})

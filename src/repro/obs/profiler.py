@@ -1,4 +1,4 @@
-"""Deterministic phase-attributed CPU profiling (``repro profile``).
+"""Deterministic phase-attributed CPU profiling (``repro run --profile``).
 
 The observability layer up to here can say *that* a run got slower
 (metrics, history, the Mann-Whitney gate in :mod:`repro.obs.regress`)

@@ -80,7 +80,7 @@ def trace_to_events(
     groups.  ``decisions`` (decision dicts from a
     :meth:`~repro.obs.ledger.DecisionLedger.to_dict`) adds one instant
     marker per scheduler decision on the scheduler track, linking the
-    timeline back to ``repro explain`` ids.  ``alerts`` (SLO alert
+    timeline back to ``explain.jsonl`` ids.  ``alerts`` (SLO alert
     dicts from :func:`repro.obs.slo.slo_alerts`) adds one global
     instant per violated objective at its first violating sample, so a
     breached SLO is visible right on the timeline.  ``critpath`` (an

@@ -12,7 +12,8 @@ survived.  These predicates operate on a completed
 * **busy exclusivity** — a worker processes one block at a time: its
   recorded busy intervals never overlap (the critical-path analysis in
   :mod:`repro.obs.critpath` walks per-worker busy chains and silently
-  mis-attributes on overlap, so ``repro why`` runs this check too);
+  mis-attributes on overlap, so ``repro run --critpath-out`` runs this
+  check too);
 * **makespan sanity** — a faulted run should not beat its fault-free
   baseline by more than a scheduling-anomaly tolerance (losing a slow
   device *can* legitimately help — Graham's timing anomalies — so the

@@ -64,8 +64,8 @@ class RunResult:
         pushed, else a fresh id minted by :meth:`Runtime.run`).
     ledger:
         The policy's :class:`~repro.obs.ledger.DecisionLedger` (None
-        for policies that keep none) — the input to ``repro explain``
-        and the calibration exports.
+        for policies that keep none) — the input to ``repro run
+        --explain-out`` and the calibration exports.
     """
 
     policy_name: str
@@ -209,7 +209,7 @@ class Runtime:
                 backend=self.backend,
                 total_units=int(total_units),
             ) as span:
-                # Host-time attribution for `repro profile`: the whole
+                # Host-time attribution for `run --profile`: the whole
                 # executor loop runs as "execute"; the policy's fit and
                 # solve scopes and the executor's probe transitions
                 # re-attribute their slices from inside.

@@ -330,7 +330,7 @@ class TestCritpathSection:
     def test_empty_state_points_at_repro_why(self):
         html = render_dashboard(make_data())
         assert "Critical path" in html
-        assert "repro why" in html
+        assert "repro run --critpath-out" in html
 
     def test_attribution_bars_and_headroom_tiles(self):
         html = render_dashboard(self.analyzed())

@@ -40,9 +40,17 @@ class TestParser:
         assert args.log_level is None and args.log_format is None
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.out == "trace.json"
+        args = build_parser().parse_args(["run"])
+        assert args.trace_out is None
         assert args.policy == "plb-hec"
+
+    @pytest.mark.parametrize("command", ["explain", "trace", "why", "profile"])
+    def test_folded_commands_are_usage_errors(self, command):
+        # their views are `run` artifact flags now; no alias remains
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert command not in build_parser().format_usage()
 
     def test_run_trace_and_metrics_out(self):
         args = build_parser().parse_args(
@@ -171,17 +179,22 @@ class TestCommands:
         assert counters["sim.events_dispatched"] > 0
 
     def test_trace_command(self, capsys, tmp_path):
+        """One --trace-out carries every overlay the run computed."""
         import json
 
         from repro.obs.trace_export import validate_chrome_trace
 
         out_path = tmp_path / "t.json"
         assert main(
-            ["trace", "--app", "matmul", "--size", "2048",
-             "--out", str(out_path)]
+            ["run", "--app", "matmul", "--size", "2048", "--machines", "2",
+             "--trace-out", str(out_path), "--profile",
+             "--critpath-out", str(tmp_path / "critpath.json")]
         ) == 0
-        assert "perfetto" in capsys.readouterr().out
-        assert validate_chrome_trace(json.loads(out_path.read_text())) == []
+        assert "trace written to" in capsys.readouterr().out
+        doc = json.loads(out_path.read_text())
+        assert validate_chrome_trace(doc) == []
+        cats = {e.get("cat") for e in doc["traceEvents"]}
+        assert {"decision", "critpath", "cpu-profile"} <= cats
 
     def test_compare_trace_out(self, capsys, tmp_path):
         import json
@@ -218,26 +231,25 @@ class TestDashboardCommand:
 
 
 class TestProfileParser:
+    """The CPU profile of one run: ``run --profile`` and its artifacts."""
+
     def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.app == "matmul"
-        assert args.policy == "plb-hec"
-        assert args.flame == "profile.svg"
+        args = build_parser().parse_args(["run"])
+        assert args.profile is False
+        assert args.flame is None
         assert args.collapsed is None
-        assert args.json_out is None
-        assert args.trace_out is None
-        assert args.top == 10
+        assert args.profile_out is None
+        assert not hasattr(args, "top")
 
     def test_profile_flags(self):
         args = build_parser().parse_args(
-            ["profile", "--flame", "-", "--collapsed", "p.txt",
-             "--json", "p.json", "--trace-out", "t.json", "--top", "5"]
+            ["run", "--flame", "p.svg", "--collapsed", "p.txt",
+             "--profile-out", "p.json", "--trace-out", "t.json"]
         )
-        assert args.flame == "-"
+        assert args.flame == "p.svg"
         assert args.collapsed == "p.txt"
-        assert args.json_out == "p.json"
+        assert args.profile_out == "p.json"
         assert args.trace_out == "t.json"
-        assert args.top == 5
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_profile_flag_everywhere(self, command):
@@ -255,14 +267,15 @@ class TestProfileCommand:
         collapsed = tmp_path / "p.txt"
         snap_path = tmp_path / "p.json"
         trace = tmp_path / "t.json"
+        # each artifact flag turns profiling on without --profile
         assert main(
-            ["profile", "--app", "matmul", "--size", "4096",
+            ["run", "--app", "matmul", "--size", "4096",
              "--flame", str(flame), "--collapsed", str(collapsed),
-             "--json", str(snap_path), "--trace-out", str(trace)]
+             "--profile-out", str(snap_path), "--trace-out", str(trace)]
         ) == 0
         out = capsys.readouterr().out
-        assert "attributed to a named phase" in out
         assert "CPU time by phase" in out
+        assert "flamegraph written to" in out
         # Acceptance: self-contained SVG + loadable collapsed stacks.
         svg = flame.read_text()
         assert svg.startswith("<svg") and "<script" not in svg
@@ -281,12 +294,13 @@ class TestProfileCommand:
         )
 
     def test_flame_dash_skips_svg(self, capsys, tmp_path, monkeypatch):
+        # --profile alone prints the tables and writes no artifact
         monkeypatch.chdir(tmp_path)
         assert main(
-            ["profile", "--app", "matmul", "--size", "4096", "--flame", "-"]
+            ["run", "--app", "matmul", "--size", "4096", "--profile"]
         ) == 0
         assert "flamegraph written" not in capsys.readouterr().out
-        assert not (tmp_path / "profile.svg").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_profile_prints_breakdown(self, capsys):
         assert main(
@@ -357,6 +371,16 @@ class TestChaosCommand:
         assert len(entries) == 1
         assert entries[0]["summary"]["survival_rate"] == 1.0
 
+    @pytest.mark.parametrize("flag", ["--dashboard", "--history"])
+    def test_serve_rejects_batch_only_flags(self, flag, tmp_path):
+        from repro.errors import ConfigurationError
+
+        target = tmp_path / "artifact"
+        with pytest.raises(ConfigurationError, match=flag):
+            main(["chaos", "--serve", "--quick", "--runs", "2",
+                  "--out", "-", flag, str(target)])
+        assert not target.exists()
+
     def test_history_is_opt_in(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_HISTORY", raising=False)
@@ -366,18 +390,18 @@ class TestChaosCommand:
 
 
 class TestExplainParser:
+    """The decision ledger of one run: ``run --explain-out``."""
+
     def test_explain_defaults(self):
-        args = build_parser().parse_args(["explain"])
-        assert args.app == "matmul"
-        assert args.policy == "plb-hec"
-        assert args.out is None
+        args = build_parser().parse_args(["run"])
+        assert args.explain_out is None
 
     def test_explain_accepts_fault_flags(self):
         args = build_parser().parse_args(
-            ["explain", "--fail", "A.gpu0@0.5", "--out", "e.jsonl"]
+            ["run", "--fail", "A.gpu0@0.5", "--explain-out", "e.jsonl"]
         )
         assert args.fail == ["A.gpu0@0.5"]
-        assert args.out == "e.jsonl"
+        assert args.explain_out == "e.jsonl"
 
     def test_run_explain_out_and_metrics_format(self):
         args = build_parser().parse_args(
@@ -393,9 +417,10 @@ class TestExplainParser:
 
 
 class TestExplainCommand:
-    def test_explain_prints_decisions_and_calibration(self, capsys):
+    def test_explain_prints_decisions_and_calibration(self, capsys, tmp_path):
         assert main(
-            ["explain", "--app", "matmul", "--size", "2048", "--machines", "2"]
+            ["run", "--app", "matmul", "--size", "2048", "--machines", "2",
+             "--explain-out", str(tmp_path / "explain.jsonl")]
         ) == 0
         out = capsys.readouterr().out
         assert "trigger" in out
@@ -409,8 +434,8 @@ class TestExplainCommand:
 
         path = tmp_path / "explain.jsonl"
         assert main(
-            ["explain", "--app", "matmul", "--size", "2048",
-             "--machines", "2", "--out", str(path)]
+            ["run", "--app", "matmul", "--size", "2048",
+             "--machines", "2", "--explain-out", str(path)]
         ) == 0
         out = capsys.readouterr().out
         assert "explain ledger written to" in out
@@ -422,12 +447,15 @@ class TestExplainCommand:
         # the printed count is the decision count, not the line count
         assert f"({parsed['header']['decisions']} decision(s))" in out
 
-    def test_explain_ledgerless_policy_fails_cleanly(self, capsys):
+    def test_explain_ledgerless_policy_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "explain.jsonl"
         assert main(
-            ["explain", "--app", "matmul", "--size", "2048",
-             "--machines", "2", "--policy", "greedy"]
-        ) == 1
+            ["run", "--app", "matmul", "--size", "2048",
+             "--machines", "2", "--policy", "greedy",
+             "--explain-out", str(path)]
+        ) == 0
         assert "no decision ledger" in capsys.readouterr().out
+        assert not path.exists()
 
     def test_run_explain_out(self, capsys, tmp_path):
         from repro.obs.ledger import read_explain
@@ -565,6 +593,14 @@ class TestTelemetryCommands:
         with pytest.raises(ConfigurationError):
             main(self.RUN + ["--slo-report-out", "r.json"])
 
+    def test_serve_slo_report_out_requires_slo(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="requires --slo"):
+            main(["serve", "--duration", "1", "--scorecard-out", "-",
+                  "--slo-report-out", str(tmp_path / "r.json")])
+        assert not (tmp_path / "r.json").exists()
+
     def test_top_once_renders_frame(self, capsys, tmp_path):
         series = tmp_path / "series.jsonl"
         report = tmp_path / "slo_report.json"
@@ -645,30 +681,28 @@ class TestExitCodeContract:
 
 
 class TestWhyParser:
+    """The makespan explanation of one run: ``run --critpath-out``."""
+
     def test_why_defaults(self):
-        args = build_parser().parse_args(["why"])
-        assert args.app == "matmul"
-        assert args.policy == "plb-hec"
-        assert args.out == "critpath.json"
-        assert args.speedup_factor == 2.0
-        assert args.assert_bound is False
-        assert args.trace_out is None
+        args = build_parser().parse_args(["run"])
+        assert args.critpath_out is None
+        # the k of the what-if bounds is the library default, and the
+        # bound gate is always on
+        assert not hasattr(args, "speedup_factor")
+        assert not hasattr(args, "assert_bound")
 
     def test_why_flags(self):
         args = build_parser().parse_args(
-            ["why", "--out", "-", "--speedup-factor", "4",
-             "--assert-bound", "--trace-out", "t.json",
+            ["run", "--critpath-out", "c.json", "--trace-out", "t.json",
              "--transient", "B.gpu0@0.05+0.02"]
         )
-        assert args.out == "-"
-        assert args.speedup_factor == 4.0
-        assert args.assert_bound is True
+        assert args.critpath_out == "c.json"
         assert args.trace_out == "t.json"
         assert args.transient == ["B.gpu0@0.05+0.02"]
 
 
 class TestWhyCommand:
-    RUN = ["why", "--app", "matmul", "--size", "2048", "--machines", "2"]
+    RUN = ["run", "--app", "matmul", "--size", "2048", "--machines", "2"]
 
     def test_writes_valid_artifact_and_reports(self, capsys, tmp_path):
         import json
@@ -676,7 +710,7 @@ class TestWhyCommand:
         from repro.obs.critpath import validate_critpath
 
         path = tmp_path / "critpath.json"
-        assert main(self.RUN + ["--out", str(path), "--assert-bound"]) == 0
+        assert main(self.RUN + ["--critpath-out", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Makespan attribution" in out
         assert "fully attributed" in out
@@ -688,10 +722,33 @@ class TestWhyCommand:
         assert validate_critpath(doc) == []
 
     def test_out_dash_skips_artifact(self, capsys, tmp_path, monkeypatch):
+        # without --critpath-out there is no analysis and no artifact
         monkeypatch.chdir(tmp_path)
-        assert main(self.RUN + ["--out", "-"]) == 0
-        assert "critpath written" not in capsys.readouterr().out
-        assert not (tmp_path / "critpath.json").exists()
+        assert main(self.RUN) == 0
+        out = capsys.readouterr().out
+        assert "Makespan attribution" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("broken", ["validate_critpath", "busy_overlap"])
+    def test_problem_exits_2(self, broken, capsys, tmp_path, monkeypatch):
+        import repro.obs.critpath as critpath_mod
+        import repro.resilience.invariants as invariants_mod
+
+        if broken == "validate_critpath":
+            monkeypatch.setattr(
+                critpath_mod, "validate_critpath", lambda doc: ["injected"]
+            )
+        else:
+            monkeypatch.setattr(
+                invariants_mod, "check_busy_overlap",
+                lambda trace: [invariants_mod.Violation("busy-overlap", "x")],
+            )
+        path = tmp_path / "critpath.json"
+        assert main(self.RUN + ["--critpath-out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "critpath: " in err
+        # the artifact is written only when the analysis validates
+        assert path.exists() == (broken == "busy_overlap")
 
     def test_trace_out_flags_critical_path(self, capsys, tmp_path):
         import json
@@ -700,7 +757,8 @@ class TestWhyCommand:
 
         trace_path = tmp_path / "why_trace.json"
         assert main(
-            self.RUN + ["--out", "-", "--trace-out", str(trace_path)]
+            self.RUN + ["--critpath-out", str(tmp_path / "c.json"),
+                        "--trace-out", str(trace_path)]
         ) == 0
         doc = json.loads(trace_path.read_text())
         assert validate_chrome_trace(doc) == []
@@ -714,7 +772,7 @@ class TestWhyCommand:
 
         path = tmp_path / "critpath.json"
         assert main(
-            self.RUN + ["--out", str(path), "--assert-bound",
+            self.RUN + ["--critpath-out", str(path),
                         "--transient", "B.gpu0@0.02+0.05"]
         ) == 0
         doc = json.loads(path.read_text())

@@ -347,7 +347,7 @@ class TestTutorialTelemetry:
 
 
 class TestTutorialCritpath:
-    """Section 12: critical path & makespan attribution (repro why)."""
+    """Section 12: critical path & makespan attribution (run --critpath-out)."""
 
     def _analysis(self, small_cluster):
         from repro.apps import MatMul
