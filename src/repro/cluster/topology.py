@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -74,12 +75,17 @@ class Cluster:
             )
         return out
 
+    @functools.cached_property
+    def _device_map(self) -> dict[str, Device]:
+        # built once: the simulators look a device up on every transfer
+        return {d.device_id: d for d in self.devices()}
+
     def device(self, device_id: str) -> Device:
         """Look up one processing unit by id."""
-        for d in self.devices():
-            if d.device_id == device_id:
-                return d
-        raise ConfigurationError(f"no device {device_id!r} in cluster")
+        try:
+            return self._device_map[device_id]
+        except KeyError:
+            raise ConfigurationError(f"no device {device_id!r} in cluster") from None
 
     def machine(self, name: str) -> Machine:
         """Look up one machine by name."""

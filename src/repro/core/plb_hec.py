@@ -36,7 +36,7 @@ import time
 import numpy as np
 
 from repro.errors import ConfigurationError, FitError, SolverError
-from repro.modeling.perf_profile import DeviceModel, PerfProfile
+from repro.modeling.perf_profile import DeviceModel, PerfProfile, ProfileGroup
 from repro.obs.events import EventLog, current_run_id
 from repro.obs.ledger import DecisionLedger
 from repro.obs.metrics import get_registry
@@ -191,7 +191,9 @@ class PLBHeC(SchedulingPolicy):
         ids = ctx.device_ids
         self._ids = ids
         self._phase = "modeling"
-        self._profiles = {d: PerfProfile(d) for d in ids}
+        # the run's devices are fitted together, in one stacked pass
+        self._group = ProfileGroup()
+        self._profiles = {d: PerfProfile(d, group=self._group) for d in ids}
         self._plan = ProbePlan(ids, ctx.initial_block_size)
         self._round = 1
         self._round_sizes = self._plan.sizes(1, None)
@@ -389,9 +391,10 @@ class PLBHeC(SchedulingPolicy):
         get_registry().inc("plbhec.recoveries")
         _events.instant("plbhec.recover", device=device_id)
         self._ids = self._ids + (device_id,)
-        self._profiles[device_id] = self._benched_profiles.pop(
-            device_id, PerfProfile(device_id)
-        )
+        profile = self._benched_profiles.pop(device_id, None)
+        if profile is None:
+            profile = PerfProfile(device_id, group=self._group)
+        self._profiles[device_id] = profile
         self._outstanding.setdefault(device_id, 0)
         self._pull_count.setdefault(device_id, 0)
         if self._phase == "modeling":

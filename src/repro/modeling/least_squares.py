@@ -22,6 +22,7 @@ __all__ = [
     "check_fit_inputs",
     "fit_basis_model",
     "gram_factor",
+    "gram_scale",
     "gram_solve",
     "r_squared",
     "weighted_lstsq",
@@ -247,41 +248,79 @@ def weighted_lstsq(
     return coef_scaled / col_norms
 
 
-def gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of weighted Gram matrices ``XᵀWX``.
+def gram_scale(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of weighted Gram matrices ``XᵀWX`` scaled to unit diagonal.
 
     ``gram`` has shape ``(k, s, s)``.  Each matrix's columns are scaled
-    to unit norm first, as :func:`fit_basis_model` scales its design.
-    Returns ``(inverse factors, norms, ok)`` for :func:`gram_solve`
-    (the systems are at most 9×9, so applying explicit inverses beats
-    two triangular solves per right-hand side).  ``ok[i]`` is False when
-    system ``i`` is too ill conditioned for the normal equations; the
-    caller refits it with :func:`weighted_lstsq`.
+    to unit norm, as :func:`fit_basis_model` scales its design; a zero
+    column keeps norm 1.  Returns ``(scaled, norms)``.  A principal
+    submatrix of a scaled matrix is the scaled submatrix, so one scaling
+    serves every candidate drawn from the same columns.
     """
     norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     norms = np.where(norms == 0.0, 1.0, norms)
-    try:
-        chol = np.linalg.cholesky(gram / (norms[:, :, None] * norms[:, None, :]))
-    except np.linalg.LinAlgError:
-        if len(gram) == 1:
-            return np.eye(gram.shape[-1])[None], norms, np.zeros(1, dtype=bool)
-        # one failed system fails the stacked call: factor one at a time
-        parts = [gram_factor(gram[i : i + 1]) for i in range(len(gram))]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    ok = np.all(np.diagonal(chol, axis1=-2, axis2=-1) >= _MIN_PIVOT, axis=-1)
-    chol = np.where(ok[:, None, None], chol, np.eye(chol.shape[-1]))
-    return np.linalg.inv(chol), norms, ok
+    return gram / (norms[:, :, None] * norms[:, None, :]), norms
 
 
-def gram_solve(
-    factor: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray
-) -> np.ndarray:
-    """Solve ``gram @ a = rhs`` for each system of a :func:`gram_factor` stack.
+def gram_factor(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Cholesky factors of a stack of :func:`gram_scale` matrices.
 
-    ``rhs`` has shape ``(k, s)``: ``XᵀWy``, or ``XᵀWr`` for a refinement
-    step on residuals ``r``.  Systems that are not ``ok`` get meaningless
-    coefficients.
+    ``scaled`` has shape ``(k, s, s)``.  Returns ``(inverse factors,
+    ok)`` for :func:`gram_solve` (the systems are at most 9×9, so
+    applying explicit inverses beats two triangular solves per
+    right-hand side).  ``ok[i]`` is False when system ``i`` is too ill
+    conditioned for the normal equations; its factor is the identity and
+    the caller refits it with :func:`weighted_lstsq`.
+
+    The stack is factored in one batched call.  One system that is not
+    positive definite fails that call; :func:`_pivots_ok` then flags the
+    failing systems, vectorised over the stack, and the rest are
+    factored in one call again.  No system is factored on its own.
     """
-    inv_chol, norms, _ = factor
-    half = inv_chol @ (rhs / norms)[:, :, None]
-    return (np.swapaxes(inv_chol, -1, -2) @ half)[:, :, 0] / norms
+    try:
+        chol = np.linalg.cholesky(scaled)
+        ok = np.ones(len(scaled), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = _pivots_ok(scaled)
+        chol = np.zeros_like(scaled)
+        if ok.any():
+            chol[ok] = np.linalg.cholesky(scaled[ok])
+    ok &= np.all(np.diagonal(chol, axis1=-2, axis2=-1) >= _MIN_PIVOT, axis=-1)
+    if ok.all():
+        return np.linalg.inv(chol), ok
+    inv_chol = np.broadcast_to(np.eye(scaled.shape[-1]), scaled.shape).copy()
+    if ok.any():
+        inv_chol[ok] = np.linalg.inv(chol[ok])
+    return inv_chol, ok
+
+
+def _pivots_ok(scaled: np.ndarray) -> np.ndarray:
+    """Which unit-diagonal matrices of a stack have every Cholesky pivot >= :data:`_MIN_PIVOT`.
+
+    A column loop of the factorisation, vectorised over the stack.  The
+    systems are independent, so one that fails (a negative or tiny
+    pivot) runs on to NaN or inf without touching the others.
+    """
+    work = scaled.copy()
+    ok = np.ones(len(work), dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(work.shape[-1]):
+            pivot = np.sqrt(work[:, j, j])
+            ok &= pivot >= _MIN_PIVOT
+            if not ok.any():
+                break
+            row = work[:, j, j:] / pivot[:, None]
+            # the trailing block stays symmetric: row j holds column j
+            work[:, j:, j:] -= row[:, :, None] * row[:, None, :]
+    return ok
+
+
+def gram_solve(inv_chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``scaled @ z = rhs`` for each system of a :func:`gram_factor` stack.
+
+    ``rhs`` has shape ``(k, s)``: ``XᵀWy / norms``, or ``XᵀWr / norms``
+    for a refinement step on residuals ``r``; the coefficients are
+    ``z / norms``.  Systems that are not ``ok`` get meaningless values.
+    """
+    half = inv_chol @ rhs[:, :, None]
+    return (np.swapaxes(inv_chol, -1, -2) @ half)[:, :, 0]

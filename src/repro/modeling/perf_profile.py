@@ -11,6 +11,7 @@ fallback.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,10 +20,10 @@ import numpy as np
 from repro.errors import FitError
 from repro.modeling.basis import CANDIDATE_MODELS, BasisFunction
 from repro.modeling.least_squares import FitResult
-from repro.modeling.model_select import select_model
+from repro.modeling.model_select import select_models
 from repro.modeling.transfer import LinearTransferFit, fit_transfer_model
 
-__all__ = ["ProfilePoint", "PerfProfile", "DeviceModel"]
+__all__ = ["ProfilePoint", "PerfProfile", "ProfileGroup", "DeviceModel"]
 
 #: Minimum execution-time value the guarded model will report; keeps the
 #: solver away from division by ~0 when extrapolating badly-behaved fits.
@@ -170,6 +171,21 @@ class DeviceModel:
         }
 
 
+class ProfileGroup:
+    """Profiles that are fitted together, in one stacked pass.
+
+    The first :meth:`PerfProfile.fit` of a member whose cached fit is
+    stale fits every stale member of its group at once
+    (:func:`~repro.modeling.model_select.select_models`); the other
+    members' ``fit`` calls with the same arguments are then cache hits.
+    The service groups one template's devices, batch PLB-HeC a run's
+    devices.  A profile created without a group is a group of one.
+    """
+
+    def __init__(self) -> None:
+        self.members: list[PerfProfile] = []
+
+
 class PerfProfile:
     """Accumulates one device's observations and fits its model.
 
@@ -181,18 +197,33 @@ class PerfProfile:
         Observation window; older points are dropped beyond it (the
         rebalancing phase keeps refining with recent behaviour, per
         Sec. III.D).
+    group:
+        The :class:`ProfileGroup` to fit with; a new group of one when
+        omitted.
     """
 
-    def __init__(self, device_id: str, *, max_points: int = 512) -> None:
+    def __init__(
+        self,
+        device_id: str,
+        *,
+        max_points: int = 512,
+        group: ProfileGroup | None = None,
+    ) -> None:
         if max_points < 2:
             raise FitError("max_points must be >= 2")
         self.device_id = device_id
         self.max_points = int(max_points)
-        self._points: list[ProfilePoint] = []
+        #: retained points by insertion number, oldest first
+        self._points: dict[int, ProfilePoint] = {}
+        #: insertion numbers of the retained points of each size, oldest first
+        self._by_size: dict[float, deque[int]] = {}
+        self._next = 0
         #: bumped by every change to ``_points``; keys the fit cache
         self._version = 0
         self._fit_key: tuple | None = None
-        self._fit_model: DeviceModel | None = None
+        self._fit_result: DeviceModel | FitError | None = None
+        self._group = group if group is not None else ProfileGroup()
+        self._group.members.append(self)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -200,7 +231,7 @@ class PerfProfile:
     @property
     def points(self) -> tuple[ProfilePoint, ...]:
         """All retained observations, oldest first."""
-        return tuple(self._points)
+        return tuple(self._points.values())
 
     #: retained observations per identical block size — executing the
     #: same size hundreds of times (steady-state execution does exactly
@@ -220,8 +251,11 @@ class PerfProfile:
         Retention is diversity-preserving: at most
         :data:`PER_SIZE_LIMIT` points per identical size are kept (the
         oldest duplicate is replaced), and the overall window drops the
-        oldest point of the *most populous* size first, so the profiled
-        size range survives arbitrarily long runs.
+        oldest point of the *most populous* size first (of equally
+        populous sizes, the one observed longest ago), so the profiled
+        size range survives arbitrarily long runs.  Per-size counts are
+        kept as points come and go, so an add costs O(1) until the
+        window is full and O(distinct sizes) after.
         """
         point = ProfilePoint(
             units=units,
@@ -230,23 +264,26 @@ class PerfProfile:
             round_index=round_index,
         )
         self._version += 1
-        same_size = [i for i, p in enumerate(self._points) if p.units == units]
+        same_size = self._by_size.setdefault(units, deque())
         if len(same_size) >= self.PER_SIZE_LIMIT:
-            del self._points[same_size[0]]
-        self._points.append(point)
+            del self._points[same_size.popleft()]
+        self._points[self._next] = point
+        same_size.append(self._next)
+        self._next += 1
         while len(self._points) > self.max_points:
-            counts: dict[float, int] = {}
-            for p in self._points:
-                counts[p.units] = counts.get(p.units, 0) + 1
-            crowded = max(counts, key=lambda u: counts[u])
-            for i, p in enumerate(self._points):
-                if p.units == crowded:
-                    del self._points[i]
-                    break
+            top = max(map(len, self._by_size.values()))
+            crowded = min(
+                (size for size, seqs in self._by_size.items() if len(seqs) == top),
+                key=lambda size: self._by_size[size][0],
+            )
+            seqs = self._by_size[crowded]
+            del self._points[seqs.popleft()]
+            if not seqs:
+                del self._by_size[crowded]
 
     def observed_sizes(self) -> np.ndarray:
         """Distinct block sizes observed so far, ascending."""
-        return np.unique([p.units for p in self._points])
+        return np.unique(np.array(list(self._by_size), dtype=float))
 
     def fit(
         self,
@@ -259,7 +296,9 @@ class PerfProfile:
         The fit is a function of the retained points, ``candidates`` and
         ``recency_decay`` alone, so it is cached: until :meth:`add` or
         :meth:`clear` changes the points, the same arguments return the
-        same :class:`DeviceModel` object without refitting.
+        same :class:`DeviceModel` object without refitting.  A miss fits
+        every stale member of the profile's :class:`ProfileGroup` in
+        one stacked pass, so the group's other ``fit`` calls hit.
 
         Parameters
         ----------
@@ -273,7 +312,8 @@ class PerfProfile:
         Raises
         ------
         FitError
-            With fewer than two observations.
+            With fewer than two observations, or when no model can be
+            fitted.
         """
         if len(self._points) < 2:
             raise FitError(
@@ -282,24 +322,50 @@ class PerfProfile:
             )
         if not 0.0 < recency_decay <= 1.0:
             raise FitError(f"recency_decay must be in (0, 1], got {recency_decay}")
-        key = (self._version, tuple(map(tuple, candidates)), recency_decay)
-        if self._fit_key == key:
-            return self._fit_model
-        x = np.array([p.units for p in self._points], dtype=float)
-        y_exec = np.array([p.exec_s for p in self._points], dtype=float)
-        y_xfer = np.array([p.transfer_s for p in self._points], dtype=float)
-        n = x.size
-        weights = None
-        if recency_decay < 1.0:
-            ages = np.arange(n - 1, -1, -1, dtype=float)
-            weights = recency_decay**ages
-        exec_fit = select_model(x, y_exec, candidates=candidates, weights=weights)
-        transfer_fit = fit_transfer_model(x, y_xfer)
-        self._fit_key = key
-        self._fit_model = DeviceModel(self.device_id, exec_fit, transfer_fit)
-        return self._fit_model
+        key = (tuple(map(tuple, candidates)), recency_decay)
+        if self._fit_key != (self._version, key):
+            _fit_stale(self._group, key, candidates, recency_decay)
+        if isinstance(self._fit_result, FitError):
+            raise FitError(*self._fit_result.args)
+        return self._fit_result
 
     def clear(self) -> None:
         """Drop all observations (fresh profiling epoch)."""
         self._version += 1
         self._points.clear()
+        self._by_size.clear()
+
+
+def _fit_stale(
+    group: ProfileGroup,
+    key: tuple,
+    candidates: Sequence[Sequence[BasisFunction]],
+    recency_decay: float,
+) -> None:
+    """Fit every member of ``group`` whose cached fit is not for ``key``."""
+    stale = [
+        p
+        for p in group.members
+        if len(p._points) >= 2 and p._fit_key != (p._version, key)
+    ]
+    xs, ys_exec, ys_xfer, weights = [], [], [], []
+    for p in stale:
+        pts = p._points.values()
+        xs.append(np.array([q.units for q in pts], dtype=float))
+        ys_exec.append(np.array([q.exec_s for q in pts], dtype=float))
+        ys_xfer.append(np.array([q.transfer_s for q in pts], dtype=float))
+        weights.append(
+            None
+            if recency_decay == 1.0
+            else recency_decay ** np.arange(len(pts) - 1, -1, -1, dtype=float)
+        )
+    exec_fits = select_models(xs, ys_exec, weights=weights, candidates=candidates)
+    for p, x, y_xfer, exec_fit in zip(stale, xs, ys_xfer, exec_fits):
+        p._fit_key = (p._version, key)
+        p._fit_result = exec_fit
+        if isinstance(exec_fit, FitError):
+            continue
+        try:
+            p._fit_result = DeviceModel(p.device_id, exec_fit, fit_transfer_model(x, y_xfer))
+        except FitError as exc:
+            p._fit_result = exc

@@ -1,8 +1,8 @@
 """Deterministic phase-attributed CPU profiling (``repro run --profile``).
 
 The observability layer up to here can say *that* a run got slower
-(metrics, history, the Mann-Whitney gate in :mod:`repro.obs.regress`)
-but not *where*.  This module closes that gap with a zero-dependency
+(metrics, history, the anomaly detectors in :mod:`repro.obs.regress`,
+the ``perfbench/`` benchmark) but not *where*.  This module closes that gap with a zero-dependency
 profiling subsystem built on :mod:`cProfile`:
 
 * :class:`PhaseProfiler` keeps **one deterministic profile per

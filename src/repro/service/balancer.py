@@ -4,11 +4,14 @@ Batch PLB-HeC probes, fits, solves and rebalances *within* one
 application run.  The service version runs the same
 collect→calculate→rebalance cycle forever: completed blocks feed
 per-(device, template) performance profiles, every cycle re-fits the
-dominant template's models (a profile with no new observation returns
-its cached fit) and re-solves the block partition, and the resulting
-device fractions shape block sizes until the next cycle.  The solve is
-waterfilling first: the interior-point refinement runs only when the
-waterfilling split fails validation (``waterfill_first=True``).
+dominant template's models and re-solves the block partition, and the
+resulting device fractions shape block sizes until the next cycle.  One
+template's profiles form a :class:`~repro.modeling.perf_profile.ProfileGroup`:
+the cycle's first ``fit`` fits every profile with new observations in
+one stacked pass and the others return their cached fits.  The solve
+is the closed-form waterfill first: the interior-point refinement runs
+only when the waterfilling split fails validation
+(``waterfill_first=True``).
 
 The solve step keeps the batch fallback chain, re-entered as often as
 the service needs it: solver failure falls back to the last good
@@ -22,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, ReproError
-from repro.modeling.perf_profile import PerfProfile
+from repro.modeling.perf_profile import PerfProfile, ProfileGroup
 from repro.service.jobs import Job
 from repro.solver.partition import solve_block_partition
 
@@ -78,13 +81,15 @@ class ContinuousBalancer:
         self._last_good: dict[str, float] | None = None
         #: EWMA units/sec per (device, template); None until measured
         self._rate: dict[tuple[str, int], float] = {}
-        # only plb-hec fits profiles; the other flavors keep none
-        self._profiles: dict[tuple[str, int], PerfProfile] = {
-            (d, t): PerfProfile(d)
-            for d in self.device_ids
-            for t in range(max(templates, 1))
-            if flavor == "plb-hec"
-        }
+        # only plb-hec fits profiles; the other flavors keep none.  One
+        # template's profiles form a group: its cycle fits them in one
+        # stacked pass.
+        self._profiles: dict[tuple[str, int], PerfProfile] = {}
+        if flavor == "plb-hec":
+            for t in range(max(templates, 1)):
+                group = ProfileGroup()
+                for d in self.device_ids:
+                    self._profiles[(d, t)] = PerfProfile(d, group=group)
         self._template_backlog: dict[int, float] = {}
         self.rebalances = 0
         self.fallback_counts: dict[str, int] = {s: 0 for s in FALLBACK_STAGES}

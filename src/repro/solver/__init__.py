@@ -16,8 +16,8 @@ This package implements that algorithm from scratch:
   (minimise the common completion time T subject to ``E_g(x_g) = T`` and
   ``sum x_g = Q``) from fitted device models;
 * :mod:`repro.solver.reduction` — an independent waterfilling reduction
-  of the same problem (bisection on T), used as cross-check and
-  fallback;
+  of the same problem (T in closed form from the devices' monotone time
+  tables), used as cross-check and fallback;
 * :mod:`repro.solver.partition` — the high-level
   :func:`solve_block_partition` entry point with its fallback chain.
 """

@@ -8,9 +8,10 @@ solve is staged:
    range, so each device's assignment is capped at a multiple of its
    largest profiled block size (caps are relaxed proportionally if they
    cannot cover the quantum).
-2. **Waterfilling presolve** (:mod:`repro.solver.reduction`): a robust
-   bisection on the common finish time that respects the caps and
-   reveals the *active set* — devices whose fixed dispatch cost exceeds
+2. **Waterfilling presolve** (:mod:`repro.solver.reduction`): the
+   common finish time in closed form, from the merged breakpoints of
+   the devices' monotone time tables; it respects the caps and reveals
+   the *active set* — devices whose fixed dispatch cost exceeds
    the common finish time get zero work (the paper's eq. 4 equality
    system is infeasible for them), devices at their trust cap are
    pinned there.

@@ -407,7 +407,7 @@ class TestProfiledSweeps:
     CURATED = (
         "repro.solver.ipm._solve_impl",
         "repro.solver.partition.solve_block_partition",
-        "repro.modeling.model_select._candidate_fits",
+        "repro.modeling.model_select._select_stack",
         "repro.runtime.sim_executor",
     )
 

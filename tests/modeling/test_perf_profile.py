@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FitError
 from repro.modeling.perf_profile import DeviceModel, PerfProfile, ProfilePoint
@@ -97,6 +99,61 @@ class TestPerfProfile:
     def test_max_points_validation(self):
         with pytest.raises(FitError):
             PerfProfile("d", max_points=1)
+
+
+class ListScanProfile:
+    """The list-scan retention ``PerfProfile.add`` replaced, as the reference.
+
+    Every add scans all points for its size; a full window recounts every
+    size and drops the oldest point of the first most populous one.
+    """
+
+    def __init__(self, max_points: int) -> None:
+        self.max_points = max_points
+        self.points: list[ProfilePoint] = []
+
+    def add(self, units, exec_s, transfer_s) -> None:
+        point = ProfilePoint(units=units, exec_s=exec_s, transfer_s=transfer_s)
+        same_size = [i for i, p in enumerate(self.points) if p.units == units]
+        if len(same_size) >= PerfProfile.PER_SIZE_LIMIT:
+            del self.points[same_size[0]]
+        self.points.append(point)
+        while len(self.points) > self.max_points:
+            counts: dict[float, int] = {}
+            for p in self.points:
+                counts[p.units] = counts.get(p.units, 0) + 1
+            crowded = max(counts, key=lambda u: counts[u])
+            for i, p in enumerate(self.points):
+                if p.units == crowded:
+                    del self.points[i]
+                    break
+
+
+class TestRetentionAgainstListScan:
+    @given(
+        st.integers(2, 24),
+        st.lists(st.integers(1, 12), min_size=1, max_size=300),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_points_in_the_same_order(self, max_points, sizes):
+        prof = PerfProfile("d", max_points=max_points)
+        ref = ListScanProfile(max_points)
+        for k, size in enumerate(sizes):
+            prof.add(float(size), 0.1 * k, 0.01 * k)
+            ref.add(float(size), 0.1 * k, 0.01 * k)
+            assert prof.points == tuple(ref.points)
+        assert list(prof.observed_sizes()) == sorted({p.units for p in ref.points})
+
+    def test_clear_resets_the_counts(self):
+        prof = PerfProfile("d", max_points=4)
+        for u in (8, 8, 16, 32):
+            prof.add(u, 1.0, 0.0)
+        prof.clear()
+        ref = ListScanProfile(4)
+        for u in (16, 16, 16, 8, 64):
+            prof.add(u, 1.0, 0.0)
+            ref.add(u, 1.0, 0.0)
+        assert prof.points == tuple(ref.points)
 
 
 class TestFitCache:

@@ -1,7 +1,12 @@
 """Tests for repro.solver.reduction (waterfilling)."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SolverError
 from repro.modeling.perf_profile import PerfProfile
@@ -67,6 +72,14 @@ class TestWaterfill:
         with pytest.raises(ConfigurationError):
             waterfill_partition([], 100.0)
 
+    def test_non_finite_times_rejected(self):
+        class Overflowing:
+            def E(self, x):
+                return np.where(np.asarray(x) > 50.0, np.inf, 1.0 + np.asarray(x))
+
+        with pytest.raises(SolverError, match="bracket"):
+            waterfill_partition([model("a", 0.01), Overflowing()], 100.0)
+
     def test_nonpositive_quantum_rejected(self):
         with pytest.raises(ConfigurationError):
             waterfill_partition([model("a", 0.01)], 0.0)
@@ -82,3 +95,129 @@ class TestWaterfill:
             units, _ = waterfill_partition(models, q)
             assert units.sum() == pytest.approx(q, rel=1e-9)
             assert np.all(units >= 0.0)
+
+
+def bisection_waterfill(models, total_units, caps=None, iterations=200, rel_tol=0.0):
+    """The bisection on T the closed form replaced, as the reference.
+
+    It ran 100 steps to a relative tolerance of 1e-10 on T.  A device
+    whose time curve is nearly flat turns that tolerance into a large
+    error in its units, so the reference bisects to floating-point
+    convergence instead.
+    """
+    q = float(total_units)
+    cap_arr = np.full(len(models), q) if caps is None else np.minimum(np.asarray(caps, float), q)
+    grid_n = 513
+    tables = []
+    for m, c in zip(models, cap_arr):
+        xs = np.linspace(0.0, float(c), grid_n)
+        ys = np.concatenate([[0.0], np.maximum.accumulate(np.asarray(m.E(xs[1:]), float))])
+        tables.append((xs, ys))
+
+    def assigned(t):
+        out = np.empty(len(models))
+        for i, (xs, ys) in enumerate(tables):
+            idx = int(np.searchsorted(ys, t, side="right")) - 1
+            if idx <= 0:
+                out[i] = 0.0
+            elif idx >= grid_n - 1:
+                out[i] = xs[-1]
+            else:
+                y0, y1 = ys[idx], ys[idx + 1]
+                frac = (t - y0) / (y1 - y0) if y1 > y0 else 0.0
+                out[i] = xs[idx] + frac * (xs[idx + 1] - xs[idx])
+        return out
+
+    t_lo, t_hi = 0.0, max(float(ys[-1]) for _, ys in tables)
+    for _ in range(iterations):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if assigned(t_mid).sum() >= q:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+        if t_hi - t_lo <= rel_tol * max(t_hi, 1e-300):
+            break
+    units = assigned(t_hi)
+    total = units.sum()
+    if total >= q:
+        units = units * (q / total)
+    else:
+        room = cap_arr - units
+        units = units + room * min((q - total) / room.sum(), 1.0)
+        units = units * (q / units.sum())
+    return units, t_hi
+
+
+def monotone_model(device_id, intercept, slope, curve, xfer):
+    prof = PerfProfile(device_id)
+    for u in (10.0, 100.0, 1000.0, 5000.0, 20_000.0):
+        prof.add(u, intercept + slope * u + curve * u * u, xfer * u)
+    return prof.fit()
+
+
+device_st = st.tuples(
+    st.floats(1e-3, 5.0),  # intercept
+    st.floats(1e-6, 1e-2),  # slope
+    st.sampled_from([0.0, 1e-9, 1e-7]),  # convexity
+    st.floats(0.0, 1e-5),  # transfer seconds per unit
+)
+
+
+class TestClosedFormAgainstBisection:
+    @given(
+        st.lists(device_st, min_size=1, max_size=6),
+        st.floats(50.0, 60_000.0),
+        st.one_of(st.none(), st.lists(st.floats(0.05, 1.5), min_size=6, max_size=6)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bisection(self, devices, q, cap_shares):
+        models = [monotone_model(f"d{i}", *dev) for i, dev in enumerate(devices)]
+        caps = None
+        if cap_shares is not None:
+            caps = np.array(cap_shares[: len(models)]) * q
+            if caps.sum() < q:
+                caps *= 1.05 * q / caps.sum()
+        units, t = waterfill_partition(models, q, caps=caps)
+        ref_units, ref_t = bisection_waterfill(models, q, caps=caps)
+        assert np.max(np.abs(units - ref_units)) <= 1e-9 * q
+        assert t == pytest.approx(ref_t, rel=1e-9)
+        assert units.sum() == pytest.approx(q, rel=1e-12)
+
+    def test_jump_onto_a_first_cell(self):
+        # Q is reached exactly where the pricey device's table starts
+        cheap = monotone_model("a", 0.01, 1e-3, 0.0, 0.0)
+        pricey = monotone_model("b", 5.0, 1e-3, 0.0, 0.0)
+        for q in (100.0, 4990.0, 5000.0, 5010.0, 9000.0):
+            units, t = waterfill_partition([cheap, pricey], q)
+            ref_units, ref_t = bisection_waterfill([cheap, pricey], q)
+            assert np.max(np.abs(units - ref_units)) <= 1e-9 * q
+            assert t == pytest.approx(ref_t, rel=1e-9)
+
+
+#: sha256 of the admitted-job latencies (little-endian float64, in
+#: completion order) of the rate-16 serve episode, plb-hec balancer,
+#: captured before the fit and the waterfill were batched
+SERVE_LATENCY_DIGESTS = {
+    0: "c166debf8181f2dfd241d048b722f2f265035630df9517a66493094dd3a5619c",
+    1: "7ba4e0ca4da1dd66efc88b9ce258933c25b9d97eb6ce02b8ba1db99428c97499",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SERVE_LATENCY_DIGESTS))
+def test_serve_episode_latencies_unchanged(seed):
+    from repro.service import ArrivalSpec, ClusterService, ServiceConfig
+
+    service = ClusterService(
+        ServiceConfig(
+            arrivals=ArrivalSpec(rate=16.0, duration=60.0),
+            machines=2,
+            policy="plb-hec",
+            queue_limit=64,
+            shed_policy="reject",
+            seed=seed,
+        )
+    )
+    service.run()
+    latencies = list(service.latencies)
+    digest = hashlib.sha256(struct.pack(f"<{len(latencies)}d", *latencies)).hexdigest()
+    assert digest == SERVE_LATENCY_DIGESTS[seed]
