@@ -21,7 +21,6 @@ positive) PLB-HeC gains.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.apps.base import Application
 from repro.cluster.perfmodel import KernelCharacteristics
@@ -139,6 +138,9 @@ class BlackScholes(Application):
 
     def closed_form(self, start: int, count: int) -> np.ndarray:
         """Reference: analytic Black-Scholes European call price."""
+        # scipy.special costs ~0.25 s to import; only this check needs it
+        from scipy.special import ndtr
+
         self._ensure_params()
         assert self._params is not None
         p = {k: v[start : start + count] for k, v in self._params.items()}

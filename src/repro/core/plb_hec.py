@@ -10,9 +10,13 @@ Three phases:
    until the fit is acceptable or 20 % of the application data has been
    consumed.
 2. **Block-size selection** (Sec. III.C).  The fitted models form the
-   equal-finish-time system (eq. 5), solved by the interior-point
-   line-search filter method; each device g is assigned a block size
-   ``x_g`` — its share of one execution-step quantum.
+   equal-finish-time system (eq. 5).  The paper solves it with the
+   interior-point line-search filter method; over monotone fits the
+   closed-form waterfill gives the same partition, so
+   :func:`~repro.solver.partition.solve_block_partition` returns it and
+   runs the interior-point method only when that split fails
+   validation.  Each device g is assigned a block size ``x_g`` — its
+   share of one execution-step quantum.
 3. **Execution and rebalancing** (Sec. III.D, Algorithm 2).  Devices
    asynchronously pull blocks of their assigned size.  A
    :class:`~repro.core.rebalance.SkewMonitor` watches per-step finish
@@ -21,7 +25,7 @@ Three phases:
    execution measurements, re-solves and resumes with new sizes.
 
 Master "thinking time" — the wall-clock cost of the fits and the
-interior-point solve *measured on the host* — is charged into the run
+partition solve *measured on the host* — is charged into the run
 through :meth:`SchedulingContext.charge_overhead`, so the makespans the
 experiments report include scheduler overhead exactly as the paper's
 measurements did (they report ~170 ms per solve on four machines).
@@ -56,7 +60,7 @@ _events = EventLog("core.plb_hec", level=logging.DEBUG)
 
 
 class PLBHeC(SchedulingPolicy):
-    """Profile-based load balancing with interior-point block selection.
+    """Profile-based load balancing with equal-finish-time block selection.
 
     Parameters
     ----------
@@ -99,7 +103,9 @@ class PLBHeC(SchedulingPolicy):
         paper measures at ~10 % of a run.  The device set must match
         between runs.
     ipm_options:
-        Interior-point tuning passed through to the partition solver.
+        Interior-point tuning for the partition solve's refinement
+        stage (it runs only when the waterfilling split fails
+        validation).
     recency_decay:
         Observation weighting for ordinary fits (< 1 favours fresh
         measurements; see
@@ -552,9 +558,7 @@ class PLBHeC(SchedulingPolicy):
         try:
             with _events.span("plbhec.solve", remaining=remaining):
                 with profile_phase("solve"):
-                    result = solve_block_partition(
-                        self._models, quantum, ipm_options=self.ipm_options
-                    )
+                    result = self._solve_partition(quantum)
         except (SolverError, FitError, ConfigurationError) as exc:
             self._charge(time.perf_counter() - t0)
             self._fallback(quantum, exc, trigger=trigger, detail=detail)
@@ -603,6 +607,12 @@ class PLBHeC(SchedulingPolicy):
             detail=detail,
         )
         self._monitor.reset()
+
+    def _solve_partition(self, quantum: float) -> PartitionResult:
+        """The partition solve behind every selection and rebalance."""
+        return solve_block_partition(
+            self._models, quantum, ipm_options=self.ipm_options
+        )
 
     def _active_devices(self) -> int:
         return sum(1 for v in self._block_sizes.values() if v > 0)

@@ -1,9 +1,10 @@
 """Beyond-paper ablation studies (DESIGN.md experiments A1, A2).
 
 * :func:`run_selection_ablation` — what the interior-point selection is
-  worth: PLB-HeC with its full solve chain vs the waterfilling-only and
-  proportional-only selection variants, plus the omniscient Oracle
-  bound.
+  worth: PLB-HeC forced through the paper's interior-point solve
+  (:func:`~repro.solver.partition.ipm_partition`) vs the uncapped
+  waterfilling-only and proportional-only selection variants, plus the
+  omniscient Oracle bound.
 * :func:`run_rebalance_ablation` — the Sec. VI "cloud" scenario: a
   device slows down mid-run; compare PLB-HeC with rebalancing enabled
   vs disabled (threshold effectively infinite).
@@ -14,18 +15,20 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.apps import MatMul
 from repro.balancers import HDSS, Oracle
 from repro.cluster import GroundTruth, paper_cluster
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
-from repro.modeling.perf_profile import DeviceModel
 from repro.runtime import Runtime
 from repro.runtime.sim_executor import Perturbation
-from repro.solver.ipm import IPMOptions
-from repro.solver.partition import PartitionResult, solve_block_partition
+from repro.solver.partition import PartitionResult, ipm_partition
+from repro.solver.reduction import waterfill_partition
 from repro.util.tables import format_table
 
 __all__ = [
@@ -52,27 +55,18 @@ class _ForcedSelectionPLB(PLBHeC):
 
     def __init__(self, forced_method: str, **kwargs) -> None:
         super().__init__(**kwargs)
-        if forced_method not in ("waterfill", "proportional"):
+        if forced_method not in ("ipm", "waterfill", "proportional"):
             raise ConfigurationError(f"unknown forced method {forced_method!r}")
         self.forced_method = forced_method
 
-    def _solve(
-        self,
-        remaining: int,
-        *,
-        trigger: str = "selection",
-        detail: dict | None = None,
-    ) -> None:  # noqa: D102 - see base
-        quantum = min(self._quantum, float(remaining))
-        import time as _time
-
-        from repro.solver.reduction import waterfill_partition
-        import numpy as np
-
-        t0 = _time.perf_counter()
-        models = self._models
-        ids = tuple(models.keys())
-        model_list = [models[d] for d in ids]
+    def _solve_partition(self, quantum: float) -> PartitionResult:
+        if self.forced_method == "ipm":
+            return ipm_partition(
+                self._models, quantum, ipm_options=self.ipm_options
+            )
+        t0 = time.perf_counter()
+        ids = tuple(self._models)
+        model_list = [self._models[d] for d in ids]
         if self.forced_method == "waterfill":
             units, predicted = waterfill_partition(model_list, quantum)
         else:
@@ -80,7 +74,7 @@ class _ForcedSelectionPLB(PLBHeC):
             rates = np.array([max(m.rate(probe), 1e-12) for m in model_list])
             units = quantum * rates / rates.sum()
             predicted = float(max(m.E(u) for m, u in zip(model_list, units)))
-        result = PartitionResult(
+        return PartitionResult(
             device_ids=ids,
             units=np.asarray(units, dtype=float),
             predicted_time=predicted,
@@ -88,34 +82,8 @@ class _ForcedSelectionPLB(PLBHeC):
             converged=True,
             iterations=0,
             kkt_error=float("nan"),
-            solve_time_s=_time.perf_counter() - t0,
+            solve_time_s=time.perf_counter() - t0,
         )
-        self._charge(result.solve_time_s)
-        self._partition = result
-        self.selection_history.append(result)
-        sizes = {d: int(round(u)) for d, u in result.units_by_device.items()}
-        if all(v <= 0 for v in sizes.values()):
-            best = max(result.units_by_device, key=result.units_by_device.get)
-            sizes[best] = 1
-        self._block_sizes = sizes
-        self._open_partition_decision(
-            trigger=trigger,
-            sizes=sizes,
-            predicted_time=result.predicted_time,
-            solver={
-                "method": result.method,
-                "converged": True,
-                "iterations": 0,
-                "kkt_error": result.kkt_error,
-                "solve_time_s": float(
-                    self.fixed_overhead_s
-                    if self.fixed_overhead_s is not None
-                    else result.solve_time_s
-                ),
-            },
-            detail=detail,
-        )
-        self._monitor.reset()
 
 
 def _run(policy, app, cluster, *, seed=3, perturbations=()) -> AblationRow:
@@ -135,13 +103,13 @@ def _run(policy, app, cluster, *, seed=3, perturbations=()) -> AblationRow:
 def run_selection_ablation(
     *, n: int = 65536, num_machines: int = 4, seed: int = 3
 ) -> list[AblationRow]:
-    """IPM-chain vs waterfill-only vs proportional-only vs Oracle."""
+    """IPM vs waterfill-only vs proportional-only vs Oracle."""
     app = MatMul(n=n)
     cluster = paper_cluster(num_machines)
     ground_truth = GroundTruth(cluster, app.kernel_characteristics())
     rows = []
     for variant, policy in [
-        ("plb-hec (ipm chain)", PLBHeC()),
+        ("plb-hec (ipm chain)", _ForcedSelectionPLB("ipm")),
         ("plb-hec (waterfill only)", _ForcedSelectionPLB("waterfill")),
         ("plb-hec (proportional only)", _ForcedSelectionPLB("proportional")),
         ("oracle", Oracle(ground_truth)),

@@ -2,23 +2,22 @@
 
 "The mean time spent on this calculation was 170 ms, for the scenario
 with 4 machines and matrices of order 65536, with standard deviation of
-32.3 ms."  This experiment times :func:`solve_block_partition` on
-models fitted for exactly that scenario, on the host running the
-reproduction (absolute numbers are hardware-dependent; the claim that
-survives is *milliseconds-scale, amortised by the better distribution*).
+32.3 ms."  This experiment times the paper's interior-point solve
+(:func:`~repro.solver.partition.ipm_partition`) on models fitted for
+exactly that scenario, on the host running the reproduction (absolute
+numbers are hardware-dependent; the claim that survives is
+*milliseconds-scale, amortised by the better distribution*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster import GroundTruth, paper_cluster
 from repro.experiments.runner import make_application
 from repro.modeling import DeviceModel, PerfProfile
 from repro.sim.random import RandomStreams
-from repro.solver import solve_block_partition
+from repro.solver import ipm_partition
 from repro.util.stats import mean_std
 
 __all__ = ["OverheadStats", "fitted_models_for_scenario", "run_solver_overhead"]
@@ -76,14 +75,14 @@ def run_solver_overhead(
     quantum: float | None = None,
     **scenario_kwargs,
 ) -> OverheadStats:
-    """Time repeated partition solves for the paper's scenario."""
+    """Time repeated interior-point partition solves for the paper's scenario."""
     models = fitted_models_for_scenario(**scenario_kwargs)
     size = scenario_kwargs.get("size", 65536)
     q = quantum if quantum is not None else size * 0.9 / 5
     times = []
     last = None
     for _ in range(repetitions):
-        last = solve_block_partition(models, q)
+        last = ipm_partition(models, q)
         times.append(last.solve_time_s * 1e3)
     mean, std = mean_std(times)
     assert last is not None

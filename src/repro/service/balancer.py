@@ -9,9 +9,9 @@ resulting device fractions shape block sizes until the next cycle.  One
 template's profiles form a :class:`~repro.modeling.perf_profile.ProfileGroup`:
 the cycle's first ``fit`` fits every profile with new observations in
 one stacked pass and the others return their cached fits.  The solve
-is the closed-form waterfill first: the interior-point refinement runs
-only when the waterfilling split fails validation
-(``waterfill_first=True``).
+is batch PLB-HeC's :func:`~repro.solver.partition.solve_block_partition`:
+the closed-form waterfill, with the interior-point refinement only when
+the waterfilling split fails validation.
 
 The solve step keeps the batch fallback chain, re-entered as often as
 the service needs it: solver failure falls back to the last good
@@ -172,7 +172,7 @@ class ContinuousBalancer:
         if self.solver_hook is not None:
             raw = self.solver_hook(models, total)
             return {d: float(raw[d]) for d in self.device_ids}
-        result = solve_block_partition(models, total, waterfill_first=True)
+        result = solve_block_partition(models, total)
         return dict(result.fractions)
 
     def _analytic(self, backlog: Mapping[int, int]) -> str | None:

@@ -15,11 +15,13 @@ This package implements that algorithm from scratch:
 * :mod:`repro.solver.problem` — builds the paper's partition NLP
   (minimise the common completion time T subject to ``E_g(x_g) = T`` and
   ``sum x_g = Q``) from fitted device models;
-* :mod:`repro.solver.reduction` — an independent waterfilling reduction
-  of the same problem (T in closed form from the devices' monotone time
-  tables), used as cross-check and fallback;
+* :mod:`repro.solver.reduction` — the waterfilling reduction of the
+  same problem (T in closed form from the devices' monotone time
+  tables);
 * :mod:`repro.solver.partition` — the high-level
-  :func:`solve_block_partition` entry point with its fallback chain.
+  :func:`solve_block_partition` entry point (waterfilling, with the
+  interior-point method as its fallback) and :func:`ipm_partition`,
+  the paper's interior-point solve by name.
 """
 
 from repro.solver.diagnostics import (
@@ -30,7 +32,11 @@ from repro.solver.diagnostics import (
 from repro.solver.filter import Filter, FilterEntry
 from repro.solver.ipm import IPMOptions, IPMResult, InteriorPointSolver
 from repro.solver.nlp import NLPProblem
-from repro.solver.partition import PartitionResult, solve_block_partition
+from repro.solver.partition import (
+    PartitionResult,
+    ipm_partition,
+    solve_block_partition,
+)
 from repro.solver.problem import build_partition_nlp
 from repro.solver.reduction import waterfill_partition
 
@@ -44,6 +50,7 @@ __all__ = [
     "build_partition_nlp",
     "waterfill_partition",
     "solve_block_partition",
+    "ipm_partition",
     "PartitionResult",
     "ConvergenceReport",
     "analyze_convergence",

@@ -13,14 +13,12 @@ evaluates ``S`` at the merged breakpoints, and one ``searchsorted``
 finds the segment where ``S`` reaches Q; linear interpolation inside it
 gives T exactly, in closed form, with no iteration.
 
-It is used three ways:
-
-* as a *cross-check*: tests assert IPM and waterfilling agree;
-* as a *fallback*: if the IPM reports failure on a pathological fit,
-  the partition layer silently switches to this path (and notes it in
-  the result's ``method`` field);
-* as the *answer* in serve mode, where the partition layer returns it
-  whenever it validates (``waterfill_first=True``).
+It is the *answer* of :func:`~repro.solver.partition.solve_block_partition`
+on every default path (batch PLB-HeC, the service balancer, the static
+balancer) whenever it validates; the interior-point refinement runs
+only when it does not.  It is also the presolve of the paper's
+interior-point solve (:func:`~repro.solver.partition.ipm_partition`),
+where it fixes the active set, and tests cross-check the two.
 """
 
 from __future__ import annotations

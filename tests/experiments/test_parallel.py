@@ -405,7 +405,7 @@ class TestProfiledSweeps:
     #: worker count (unlike e.g. lru_cache internals, which run once per
     #: process and so differ between 1 and N workers by design).
     CURATED = (
-        "repro.solver.ipm._solve_impl",
+        "repro.solver.reduction.waterfill_partition",
         "repro.solver.partition.solve_block_partition",
         "repro.modeling.model_select._select_stack",
         "repro.runtime.sim_executor",

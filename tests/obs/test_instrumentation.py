@@ -62,16 +62,19 @@ class TestEndToEndCounters:
         assert counters["plbhec.probe_rounds"] > 0
         assert counters["plbhec.fit_attempts"] > 0
         assert counters["plbhec.solves"] > 0
-        assert counters["ipm.solves"] > 0
-        assert counters["ipm.iterations"] > 0
+        # the default solve is the waterfill: no interior-point work
+        assert counters.get("ipm.solves", 0) == 0
+        assert counters.get("ipm.iterations", 0) == 0
         assert counters["sim.events_dispatched"] > 0
         # per-device R2 gauges carry a device label
         r2_keys = [k for k in snap["gauges"] if k.startswith("plbhec.r2{device=")]
         assert len(r2_keys) == len(small_cluster.devices())
         for key in r2_keys:
             assert 0.0 <= snap["gauges"][key] <= 1.0
-        assert snap["histograms"]["plbhec.solve_ms"]["count"] >= 1
-        assert snap["histograms"]["ipm.solve_ms"]["count"] >= 1
+        assert snap["histograms"]["plbhec.solve_ms"]["count"] == counters[
+            "plbhec.solves"
+        ]
+        assert "ipm.solve_ms" not in snap["histograms"]
 
     def test_ipm_solve_reports_kkt_and_restorations(self, registry):
         import numpy as np

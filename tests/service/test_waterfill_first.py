@@ -1,10 +1,10 @@
-"""Serve-mode PLB-HeC solves by waterfilling; batch PLB-HeC keeps the IPM.
+"""Every default partition solve is the waterfill; the IPM runs by name.
 
-The service balancer calls ``solve_block_partition(waterfill_first=True)``:
-a waterfilling split that validates is used as is, and the paper's
-interior-point refinement runs only when it does not.  These tests pin
-down that the refinement would not have changed the serve answer, and
-that the batch path still solves by the IPM.
+``solve_block_partition`` returns the waterfilling split whenever it
+validates, for the service balancer and for batch PLB-HeC alike, and
+the paper's interior-point solve (``ipm_partition``) runs only where a
+caller asks for it.  These tests pin down that the interior-point
+method would not have changed either answer.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import repro.core.plb_hec as plb_hec
 import repro.service.balancer as balancer
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import ArrivalSpec, ClusterService, ServiceConfig
+from repro.solver.partition import ipm_partition
 
 
 def rate16_episode(seed: int = 0) -> ClusterService:
@@ -41,18 +42,26 @@ def registry():
         set_registry(previous)
 
 
+def block_sizes(result) -> dict[str, int]:
+    """The integer block sizes PLB-HeC derives from a partition."""
+    return {d: int(round(u)) for d, u in result.units_by_device.items()}
+
+
 def ipm_solves(registry: MetricsRegistry) -> int:
     return int(registry.snapshot()["counters"].get("ipm.solves", 0))
 
 
 def record_solves(monkeypatch, module) -> list:
-    """Wrap ``module.solve_block_partition``; returns ``(kwargs, result)`` pairs."""
+    """Wrap ``module.solve_block_partition``.
+
+    Returns ``(models, total, kwargs, result)`` tuples, one per call.
+    """
     original = module.solve_block_partition
     calls = []
 
     def recording(models, total, **kwargs):
         result = original(models, total, **kwargs)
-        calls.append((kwargs, result))
+        calls.append((dict(models), total, kwargs, result))
         return result
 
     monkeypatch.setattr(module, "solve_block_partition", recording)
@@ -61,18 +70,11 @@ def record_solves(monkeypatch, module) -> list:
 
 class TestServeSolve:
     def test_fractions_match_the_ipm_refinement(self, monkeypatch):
-        original = balancer.solve_block_partition
-        pairs = []
-
-        def both(models, total, **kwargs):
-            served = original(models, total, **kwargs)
-            pairs.append((served, original(models, total)))
-            return served
-
-        monkeypatch.setattr(balancer, "solve_block_partition", both)
+        calls = record_solves(monkeypatch, balancer)
         rate16_episode().run()
-        assert len(pairs) > 100
-        for served, refined in pairs:
+        assert len(calls) > 100
+        for models, total, _, served in calls:
+            refined = ipm_partition(models, total)
             assert served.method == "waterfill"
             assert refined.method == "ipm"
             gap = max(
@@ -85,11 +87,15 @@ class TestServeSolve:
         calls = record_solves(monkeypatch, balancer)
         card = rate16_episode(seed=3).run()
         assert card["balancer"]["fallback_counts"]["solve"] == len(calls) > 100
-        assert all(kwargs == {"waterfill_first": True} for kwargs, _ in calls)
-        assert {result.method for _, result in calls} == {"waterfill"}
+        assert {result.method for *_, result in calls} == {"waterfill"}
         assert ipm_solves(registry) == 0
 
-    def test_batch_plbhec_still_solves_by_ipm(self, monkeypatch, registry):
+
+class TestBatchSolve:
+    """The cross-check on a Fig. 4 point with the overhead pinned."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fig4_point_matches_ipm_sizes(self, monkeypatch, registry, seed):
         from repro.cluster import paper_cluster
         from repro.experiments.runner import (
             FIXED_OVERHEAD_S,
@@ -99,13 +105,16 @@ class TestServeSolve:
         from repro.runtime import Runtime
 
         calls = record_solves(monkeypatch, plb_hec)
-        app = make_application("matmul", 4096)
-        Runtime(paper_cluster(2), app.codelet(), seed=0).run(
+        app = make_application("matmul", 16384)
+        Runtime(paper_cluster(4), app.codelet(), seed=seed).run(
             make_policy("plb-hec", fixed_overhead_s=FIXED_OVERHEAD_S),
             app.total_units,
             app.default_initial_block_size(),
         )
         assert calls
-        assert all("waterfill_first" not in kwargs for kwargs, _ in calls)
-        assert {result.method for _, result in calls} == {"ipm"}
-        assert ipm_solves(registry) >= len(calls)
+        assert {result.method for *_, result in calls} == {"waterfill"}
+        assert ipm_solves(registry) == 0
+        for models, quantum, kwargs, result in calls:
+            refined = ipm_partition(models, quantum, **kwargs)
+            assert refined.method == "ipm" and refined.iterations > 0
+            assert block_sizes(refined) == block_sizes(result)

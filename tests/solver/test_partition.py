@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.modeling.perf_profile import PerfProfile
-from repro.solver import solve_block_partition
+from repro.solver import ipm_partition, solve_block_partition
 from repro.solver.partition import _trust_caps
 from tests.conftest import make_fitted_models
 
@@ -20,9 +20,10 @@ def model(device_id, slope, intercept=0.1, sizes=(10, 100, 1000, 5000)):
 class TestSolveBlockPartition:
     def test_ipm_on_clean_models(self):
         models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
-        result = solve_block_partition(models, 10_000.0)
+        result = ipm_partition(models, 10_000.0)
         assert result.method == "ipm"
         assert result.converged
+        assert result.iterations > 0
         assert result.units.sum() == pytest.approx(10_000.0, rel=1e-6)
 
     def test_equal_time_property(self):
@@ -70,9 +71,9 @@ class TestSolveBlockPartition:
 
     def test_waterfill_first_returns_validated_presolve(self):
         models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
-        fast = solve_block_partition(models, 10_000.0, waterfill_first=True)
-        refined = solve_block_partition(models, 10_000.0)
-        assert (fast.method, fast.iterations) == ("waterfill", 0)
+        fast = solve_block_partition(models, 10_000.0)
+        refined = ipm_partition(models, 10_000.0)
+        assert (fast.method, fast.iterations, fast.converged) == ("waterfill", 0, True)
         assert refined.method == "ipm"
         np.testing.assert_allclose(fast.units, refined.units, atol=1e-5 * 10_000.0)
 
@@ -86,9 +87,30 @@ class TestSolveBlockPartition:
             lambda models, q, caps: (np.full(len(models), q / len(models)), 1.0),
         )
         models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
-        result = solve_block_partition(models, 10_000.0, waterfill_first=True)
+        result = solve_block_partition(models, 10_000.0)
         assert result.method == "ipm"
         assert result.iterations > 0
+
+    def test_ipm_partition_raises_instead_of_falling_back(self, monkeypatch):
+        from repro.errors import SolverError
+        from repro.solver import partition
+
+        def no_convergence(*args):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr(partition, "_refine", no_convergence)
+        models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
+        with pytest.raises(SolverError):
+            ipm_partition(models, 10_000.0)
+        # the default solve degrades down its chain instead
+        monkeypatch.setattr(
+            partition,
+            "waterfill_partition",
+            lambda models, q, caps: (np.full(len(models), q / len(models)), 1.0),
+        )
+        result = solve_block_partition(models, 10_000.0)
+        assert (result.method, result.converged) == ("proportional", False)
+        assert result.units.sum() == pytest.approx(10_000.0, rel=1e-6)
 
     def test_solve_time_recorded(self):
         models = {f"d{i}": model(f"d{i}", 0.001) for i in range(2)}

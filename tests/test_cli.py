@@ -778,3 +778,26 @@ class TestWhyCommand:
         doc = json.loads(path.read_text())
         categories = doc["categories"]
         assert abs(sum(categories.values()) - doc["makespan"]) < 1e-9
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_unloaded(self):
+        """``import repro.cli`` pulls in no scipy (~0.25 s of start-up)."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

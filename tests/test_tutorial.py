@@ -116,9 +116,9 @@ class TestTutorialObservability:
             )
             snap = get_registry().snapshot()
             assert snap["counters"]["plbhec.probe_rounds"] > 0
-            assert snap["counters"]["ipm.iterations"] > 0
+            assert snap["counters"]["plbhec.solves"] > 0
             assert any(k.startswith("plbhec.r2{device=") for k in snap["gauges"])
-            assert snap["histograms"]["ipm.solve_ms"]["p90"] >= 0.0
+            assert snap["histograms"]["plbhec.solve_ms"]["p90"] >= 0.0
         finally:
             set_registry(previous)
 
