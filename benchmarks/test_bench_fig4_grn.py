@@ -4,20 +4,16 @@ Prints the Fig. 4 GRN series (gene counts 60k..140k, 1-4 machines).
 """
 
 from benchmarks.conftest import fast_mode
-from repro.experiments.fig4_exectime import render_sweep, run_fig4
+from repro.experiments.report import render_sweep, run_grid
 
 
 def test_bench_fig4_grn(benchmark, replications):
     sizes = [60_000, 140_000] if fast_mode() else [60_000, 100_000, 140_000]
     machines = [4] if fast_mode() else [1, 2, 3, 4]
     points = benchmark.pedantic(
-        run_fig4,
-        args=("grn",),
-        kwargs={
-            "sizes": sizes,
-            "machine_counts": machines,
-            "replications": replications,
-        },
+        run_grid,
+        args=([("grn", s, m) for m in machines for s in sizes],),
+        kwargs={"replications": replications},
         rounds=1,
         iterations=1,
     )

@@ -7,20 +7,16 @@ machines; Greedy wins at the smallest.
 """
 
 from benchmarks.conftest import fast_mode
-from repro.experiments.fig4_exectime import render_sweep, run_fig4
+from repro.experiments.report import render_sweep, run_grid
 
 
 def test_bench_fig4_matmul(benchmark, replications):
     sizes = [4096, 65536] if fast_mode() else [4096, 16384, 65536]
     machines = [4] if fast_mode() else [1, 2, 3, 4]
     points = benchmark.pedantic(
-        run_fig4,
-        args=("matmul",),
-        kwargs={
-            "sizes": sizes,
-            "machine_counts": machines,
-            "replications": replications,
-        },
+        run_grid,
+        args=([("matmul", s, m) for m in machines for s in sizes],),
+        kwargs={"replications": replications},
         rounds=1,
         iterations=1,
     )

@@ -7,20 +7,16 @@ PLB-HeC ahead on large ones.
 """
 
 from benchmarks.conftest import fast_mode
-from repro.experiments.fig4_exectime import render_sweep
-from repro.experiments.fig5_blackscholes import run_fig5
+from repro.experiments.report import render_sweep, run_grid
 
 
 def test_bench_fig5_blackscholes(benchmark, replications):
     sizes = [10_000, 500_000] if fast_mode() else [10_000, 100_000, 500_000]
     machines = [4] if fast_mode() else [1, 2, 3, 4]
     points = benchmark.pedantic(
-        run_fig5,
-        kwargs={
-            "sizes": sizes,
-            "machine_counts": machines,
-            "replications": replications,
-        },
+        run_grid,
+        args=([("blackscholes", s, m) for m in machines for s in sizes],),
+        kwargs={"replications": replications},
         rounds=1,
         iterations=1,
     )

@@ -7,11 +7,12 @@ and machine B's units receive the least.
 """
 
 from benchmarks.conftest import fast_mode
-from repro.experiments.fig6_distribution import (
+from repro.experiments.report import (
     DEFAULT_CASES,
+    FIG6_POLICIES,
     gpu_share,
-    render_fig6,
-    run_fig6,
+    render_distribution,
+    run_grid,
 )
 
 
@@ -22,15 +23,17 @@ def test_bench_fig6_distribution(benchmark, replications):
         else DEFAULT_CASES
     )
     results = benchmark.pedantic(
-        run_fig6,
-        kwargs={"cases": cases, "replications": replications},
+        run_grid,
+        args=([(a, s, 4) for a, sizes in cases for s in sizes], FIG6_POLICIES),
+        kwargs={"replications": replications},
         rounds=1,
         iterations=1,
     )
     print()
-    print(render_fig6(results))
+    print(render_distribution(results))
     for case in results:
-        for policy, dist in case.distributions.items():
+        for policy, outcome in case.outcomes.items():
+            dist = outcome.mean_distribution()
             total = sum(dist.values())
             assert abs(total - 1.0) < 1e-6, (case.app_name, policy, total)
             assert gpu_share(dist) > 0.5

@@ -7,8 +7,13 @@ idleness shrinks with input size.
 """
 
 from benchmarks.conftest import fast_mode
-from repro.experiments.fig6_distribution import DEFAULT_CASES
-from repro.experiments.fig7_idleness import render_fig7, run_fig7
+from repro.experiments.report import (
+    DEFAULT_CASES,
+    FIG7_POLICIES,
+    mean_idle,
+    render_idleness,
+    run_grid,
+)
 
 
 def test_bench_fig7_idleness(benchmark, replications):
@@ -18,15 +23,16 @@ def test_bench_fig7_idleness(benchmark, replications):
         else DEFAULT_CASES
     )
     results = benchmark.pedantic(
-        run_fig7,
-        kwargs={"cases": cases, "replications": replications},
+        run_grid,
+        args=([(a, s, 4) for a, sizes in cases for s in sizes], FIG7_POLICIES),
+        kwargs={"replications": replications},
         rounds=1,
         iterations=1,
     )
     print()
-    print(render_fig7(results))
+    print(render_idleness(results))
     for case in results:
-        assert case.mean_idle("plb-hec") < case.mean_idle("hdss"), (
+        assert mean_idle(case, "plb-hec") < mean_idle(case, "hdss"), (
             case.app_name,
             case.size,
         )
@@ -39,4 +45,4 @@ def test_bench_fig7_idleness(benchmark, replications):
     for app_cases in by_app.values():
         app_cases.sort(key=lambda c: c.size)
         small, large = app_cases[0], app_cases[-1]
-        assert large.mean_idle("plb-hec") <= small.mean_idle("plb-hec") * 1.25
+        assert mean_idle(large, "plb-hec") <= mean_idle(small, "plb-hec") * 1.25

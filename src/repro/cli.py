@@ -27,12 +27,13 @@ Commands
     comparison table.  ``--trace-out`` re-runs each policy once at the
     first replication's seed and exports all of them side by side, one
     process group per policy.
-``table1`` / ``fig1`` / ``fig4`` / ``fig5`` / ``fig6`` / ``fig7``
-    Regenerate the corresponding paper artefact.
-``overhead``
-    Time the block-size solver (the Sec. V.a statistic).
-``ablations``
-    Run the three DESIGN.md ablation studies.
+``report``
+    Reproduce the paper's evaluation from one table of experiments
+    (:data:`repro.experiments.report.EXPERIMENTS`): Table I, Fig. 1,
+    Figs. 4-7, the Sec. V.a solver cost, and the ablation,
+    heterogeneity and sensitivity studies.  ``--only NAME ...`` picks
+    rows, ``--fast`` shrinks the Fig. 4/5 grids, and every claim the
+    selected rows carry is checked; a failed claim exits 2.
 ``dashboard``
     Write the self-contained HTML observability dashboard (policy
     comparison, solver convergence, Gantt timeline,
@@ -61,7 +62,8 @@ Commands
     (``--scorecard-out``) and the sampled ``serve_*`` telemetry
     (``--series-out``), and gates on an SLO spec (``--slo``, exit 2
     on violation).  Equal seeds produce byte-identical scorecards.
-Sweep-driving commands accept ``--jobs N`` (default: the ``REPRO_JOBS``
+Sweep-driving commands (``compare``, ``report``, ``dashboard``,
+``chaos``) accept ``--jobs N`` (default: the ``REPRO_JOBS``
 environment variable, else the CPU count) and honour ``REPRO_CACHE``
 for on-disk result caching; see docs/TUTORIAL.md §5.  ``REPRO_PROFILE=1``
 profiles every sweep the way ``--profile`` does (and, like it,
@@ -81,8 +83,8 @@ Examples
     python -m repro run --app matmul --size 4096 --trace-out trace.json
     python -m repro run --app matmul --size 4096 --critpath-out critpath.json
     python -m repro --log-format json compare --app blackscholes --size 500000
-    python -m repro fig4 --app matmul --fast
-    python -m repro fig7
+    python -m repro report --only fig4 fig5 --fast
+    python -m repro report --only fig7 --replications 1
 """
 
 from __future__ import annotations
@@ -93,22 +95,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments.ablations import (
-    render_ablation,
-    run_probe_ablation,
-    run_rebalance_ablation,
-    run_selection_ablation,
-)
-from repro.experiments.fig1_models import render_fig1, run_fig1
-from repro.experiments.fig4_exectime import (
-    GRN_SIZES,
-    MM_SIZES,
-    render_sweep,
-    run_fig4,
-)
-from repro.experiments.fig5_blackscholes import BS_SIZES, run_fig5
-from repro.experiments.fig6_distribution import render_fig6, run_fig6
-from repro.experiments.fig7_idleness import render_fig7, run_fig7
 from repro.experiments.runner import (
     FIXED_OVERHEAD_S,
     PAPER_POLICIES,
@@ -116,8 +102,6 @@ from repro.experiments.runner import (
     make_policy,
     run_policies,
 )
-from repro.experiments.solver_overhead import run_solver_overhead
-from repro.experiments.table1 import render_table1
 from repro.cluster import GroundTruth, paper_cluster
 from repro.errors import ConfigurationError
 from repro.obs.events import new_run_id, push_run_id
@@ -138,16 +122,17 @@ EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (1, "error", "usage or data error: bad configuration, missing "
      "artifact (top without a series)"),
     (2, "regressed", "a gate failed: "
-     "run/serve --slo objective violation, or run --critpath-out breach "
+     "run/serve --slo objective violation, run --critpath-out breach "
      "(attribution != makespan, bound > makespan, empty path, "
-     "busy-overlap)"),
+     "busy-overlap), or a failed report claim"),
     (3, "chaos", "chaos campaign (batch or --serve) finished with "
      "invariant violations, or a serve episode produced scorecard "
      "invariant errors"),
 )
 
 
-#: The code a failed gate (``--slo``, ``run --critpath-out``) exits with.
+#: The code a failed gate (``--slo``, ``run --critpath-out``, a
+#: ``report`` claim) exits with.
 _EXIT_REGRESSED = next(c for c, name, _ in EXIT_CODE_TABLE if name == "regressed")
 
 
@@ -384,40 +369,24 @@ def build_parser() -> argparse.ArgumentParser:
         "(disables the result cache for this comparison)",
     )
 
-    sub.add_parser("table1", help="render Table I")
-
-    p_fig1 = sub.add_parser("fig1", help="Fig. 1 measured vs fitted curves")
-    p_fig1.add_argument("--points", type=int, default=12)
-
-    for fig, sizes in (("fig4", None), ("fig5", BS_SIZES)):
-        p_fig = sub.add_parser(fig, help=f"{fig} execution time / speedup")
-        if fig == "fig4":
-            p_fig.add_argument(
-                "--app", choices=["matmul", "grn"], default="matmul"
-            )
-        p_fig.add_argument("--replications", type=int, default=3)
-        p_fig.add_argument(
-            "--fast", action="store_true", help="reduced size/machine grid"
-        )
-        add_jobs_arg(p_fig)
-
-    for fig in ("fig6", "fig7"):
-        p_fig = sub.add_parser(fig, help=f"{fig} distribution / idleness")
-        p_fig.add_argument("--replications", type=int, default=3)
-        add_jobs_arg(p_fig)
-
-    p_oh = sub.add_parser("overhead", help="Sec. V.a solver overhead")
-    p_oh.add_argument("--repetitions", type=int, default=20)
-
-    sub.add_parser("ablations", help="DESIGN.md A1-A3 ablation studies")
-    sub.add_parser("heterogeneity", help="H1 speedup-vs-heterogeneity sweep")
-    sub.add_parser("sensitivity", help="S2 initial-block-size sensitivity")
-
     p_report = sub.add_parser(
-        "report", help="full reproduction report with shape checks"
+        "report",
+        help="reproduce the paper's tables and figures and check its claims",
+    )
+    p_report.add_argument(
+        "--only",
+        nargs="+",
+        metavar="NAME",
+        default=None,
+        help="run only these experiments (default: all)",
+    )
+    p_report.add_argument(
+        "--fast",
+        action="store_true",
+        help="Figs. 4/5 on their first and last size, 4 machines only",
     )
     p_report.add_argument("--replications", type=int, default=3)
-    p_report.add_argument("--fast", action="store_true")
+    add_jobs_arg(p_report)
 
     p_dash = sub.add_parser(
         "dashboard",
@@ -731,8 +700,8 @@ def _run_config(args: argparse.Namespace, policy_name: str) -> dict:
     }
 
 
-def _fmt_opt(value, pattern: str) -> str:
-    return pattern.format(value) if value is not None else "-"
+def _fmt_opt(value, pattern: str, scale=1) -> str:
+    return pattern.format(value * scale) if value is not None else "-"
 
 
 def _print_profile_summary(snapshot: dict) -> None:
@@ -1227,6 +1196,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         replications=args.replications,
         seed=args.seed,
         noise_sigma=args.noise,
+        fixed_overhead_s=FIXED_OVERHEAD_S,
         jobs=args.jobs,
         profile=args.profile or None,
         stats=stats,
@@ -1370,11 +1340,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     card = service.run()
     run_id = f"serve-{config.policy}-seed{config.seed}"
 
-    def fmt(value, digits=3, suffix=""):
-        if value is None:
-            return "-"
-        return f"{value:.{digits}f}{suffix}"
-
     jobs = card["jobs"]
     lat = card["latency_s"]
     print(
@@ -1388,10 +1353,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 jobs["shed"],
                 jobs["timeout"],
                 jobs["failed"],
-                fmt(lat["p50"], suffix="s"),
-                fmt(lat["p95"], suffix="s"),
-                fmt(lat["p99"], suffix="s"),
-                fmt(card["goodput"]["jobs_per_s"], suffix=" jobs/s"),
+                _fmt_opt(lat["p50"], "{:.3f}s"),
+                _fmt_opt(lat["p95"], "{:.3f}s"),
+                _fmt_opt(lat["p99"], "{:.3f}s"),
+                _fmt_opt(card["goodput"]["jobs_per_s"], "{:.3f} jobs/s"),
             ]],
             title=f"Service episode: policy={config.policy} "
             f"rate={config.arrivals.rate:g}/s "
@@ -1407,7 +1372,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{card['balancer']['rebalances']} rebalance cycle(s) "
         f"({', '.join(f'{k}={v}' for k, v in fallbacks.items() if v)}), "
         f"{opens} breaker open(s), "
-        f"fairness {fmt(card['fairness']['jain_tenants'])}"
+        f"fairness {_fmt_opt(card['fairness']['jain_tenants'], '{:.3f}')}"
     )
     problems = validate_scorecard(card) + list(card["invariant_errors"])
     for problem in problems:
@@ -1465,17 +1430,12 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     )
     scorecard = run_serve_campaign(config, jobs=args.jobs)
 
-    def fmt(value, digits=2, suffix=""):
-        if value is None:
-            return "-"
-        return f"{value:.{digits}f}{suffix}"
-
     rows = [
         [
             name,
             f"{agg['survived']}/{agg['runs']}",
             f"{agg['survival_rate'] * 100:.0f}%",
-            fmt(agg["mean_goodput_ratio"], suffix="x"),
+            _fmt_opt(agg["mean_goodput_ratio"], "{:.2f}x"),
             agg["violations"],
             agg["shed"],
             agg["timeout"],
@@ -1542,11 +1502,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     scorecard = run_campaign(config, jobs=args.jobs)
 
-    def fmt(value, scale=1.0, suffix="", digits=3):
-        if value is None:
-            return "-"
-        return f"{value * scale:.{digits}f}{suffix}"
-
     def share(agg, category):
         attribution = agg.get("mean_attribution") or {}
         if category not in attribution:
@@ -1558,9 +1513,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             name,
             f"{agg['survived']}/{agg['runs']}",
             f"{agg['survival_rate'] * 100:.0f}%",
-            fmt(agg["mean_degradation"], suffix="x"),
-            fmt(agg["max_degradation"], suffix="x"),
-            fmt(agg["mean_recovery_lag"], scale=1e3, suffix="ms", digits=1),
+            _fmt_opt(agg["mean_degradation"], "{:.3f}x"),
+            _fmt_opt(agg["max_degradation"], "{:.3f}x"),
+            _fmt_opt(agg["mean_recovery_lag"], "{:.1f}ms", scale=1e3),
             agg["violations"],
             agg.get("slo_violations", 0),
             agg.get("decisions_explained", 0),
@@ -1613,7 +1568,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     configure_from_env(level=args.log_level, fmt=args.log_format)
     # run and serve share the SLO flags, so they share this check
     if getattr(args, "slo_report_out", None) and not args.slo:
@@ -1624,96 +1580,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_top(args)
     if args.command == "compare":
         return _cmd_compare(args)
-    if args.command == "table1":
-        print(render_table1())
-        return 0
-    if args.command == "fig1":
-        print(render_fig1(run_fig1(points=args.points)))
-        return 0
-    if args.command == "fig4":
-        sizes = (MM_SIZES if args.app == "matmul" else GRN_SIZES)
-        machines = [4] if args.fast else [1, 2, 3, 4]
-        if args.fast:
-            sizes = (sizes[0], sizes[-1])
-        print(
-            render_sweep(
-                run_fig4(
-                    args.app,
-                    sizes=sizes,
-                    machine_counts=machines,
-                    replications=args.replications,
-                    jobs=args.jobs,
-                )
+    if args.command == "report":
+        from repro.experiments.report import EXPERIMENTS, generate_report
+
+        unknown = sorted(set(args.only or ()) - set(EXPERIMENTS))
+        if unknown:
+            parser.error(
+                f"unknown experiment(s) {', '.join(unknown)}; choose from "
+                f"{', '.join(EXPERIMENTS)}"
             )
+        text, checks = generate_report(
+            args.only,
+            fast=args.fast,
+            replications=args.replications,
+            jobs=args.jobs,
         )
-        return 0
-    if args.command == "fig5":
-        sizes = (BS_SIZES[0], BS_SIZES[-1]) if args.fast else BS_SIZES
-        machines = [4] if args.fast else [1, 2, 3, 4]
-        print(
-            render_sweep(
-                run_fig5(
-                    sizes=sizes,
-                    machine_counts=machines,
-                    replications=args.replications,
-                    jobs=args.jobs,
-                )
-            )
-        )
-        return 0
-    if args.command == "fig6":
-        print(
-            render_fig6(run_fig6(replications=args.replications, jobs=args.jobs))
-        )
-        return 0
-    if args.command == "fig7":
-        print(
-            render_fig7(run_fig7(replications=args.replications, jobs=args.jobs))
-        )
-        return 0
+        print(text)
+        return 0 if all(c.passed for c in checks) else _EXIT_REGRESSED
     if args.command == "dashboard":
         return _cmd_dashboard(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "overhead":
-        stats = run_solver_overhead(repetitions=args.repetitions)
-        print(
-            f"solver overhead: {stats.mean_ms:.1f} +- {stats.std_ms:.1f} ms "
-            f"({stats.samples} solves, method={stats.method}, "
-            f"iterations={stats.iterations}); paper: 170 +- 32.3 ms"
-        )
-        return 0
-    if args.command == "heterogeneity":
-        from repro.experiments.heterogeneity import (
-            render_heterogeneity,
-            run_heterogeneity,
-        )
-
-        print(render_heterogeneity(run_heterogeneity()))
-        return 0
-    if args.command == "sensitivity":
-        from repro.experiments.sensitivity import (
-            render_sensitivity,
-            run_sensitivity,
-        )
-
-        sizes, rows = run_sensitivity()
-        print(render_sensitivity(sizes, rows))
-        return 0
-    if args.command == "report":
-        from repro.experiments.report import generate_report
-
-        print(generate_report(replications=args.replications, fast=args.fast))
-        return 0
-    if args.command == "ablations":
-        print(render_ablation(run_selection_ablation(), title="A1 selection"))
-        print()
-        print(render_ablation(run_rebalance_ablation(), title="A2 rebalancing"))
-        print()
-        print(render_ablation(run_probe_ablation(), title="A3 probing"))
-        return 0
     return 1  # pragma: no cover - argparse enforces the choices
 
 

@@ -177,7 +177,12 @@ def collect_dashboard_data(
     interior-point solve on models fitted for the same scenario.
     """
     from repro.cluster import paper_cluster
-    from repro.experiments.runner import make_application, make_policy, run_policies
+    from repro.experiments.runner import (
+        FIXED_OVERHEAD_S,
+        make_application,
+        make_policy,
+        run_policies,
+    )
     from repro.experiments.solver_overhead import fitted_models_for_scenario
     from repro.obs.metrics import diff_snapshots, get_registry
     from repro.obs.regress import detect_anomalies
@@ -208,6 +213,7 @@ def collect_dashboard_data(
         replications=replications,
         seed=seed,
         noise_sigma=noise,
+        fixed_overhead_s=FIXED_OVERHEAD_S,
         jobs=jobs,
     )
 
@@ -230,7 +236,7 @@ def collect_dashboard_data(
     sampler = ClusterSampler(0.0)  # auto interval, ~makespan/128
     with profiling() as prof:
         result = runtime.run(
-            make_policy("plb-hec"),
+            make_policy("plb-hec", fixed_overhead_s=FIXED_OVERHEAD_S),
             application.total_units,
             application.default_initial_block_size(),
             sampler=sampler,

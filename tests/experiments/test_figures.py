@@ -1,4 +1,4 @@
-"""Tests for the figure/table experiment drivers (reduced grids)."""
+"""Tests for the experiment runners and renderers (reduced grids)."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ from repro.experiments.ablations import (
     run_selection_ablation,
 )
 from repro.experiments.fig1_models import render_fig1, run_fig1
-from repro.experiments.fig4_exectime import render_sweep, run_fig4
-from repro.experiments.fig5_blackscholes import run_fig5
-from repro.experiments.fig6_distribution import (
+from repro.experiments.report import (
     gpu_share,
-    render_fig6,
-    run_fig6,
+    mean_idle,
+    render_distribution,
+    render_idleness,
+    render_sweep,
+    run_grid,
 )
-from repro.experiments.fig7_idleness import render_fig7, run_fig7
 from repro.experiments.solver_overhead import run_solver_overhead
 from repro.experiments.table1 import render_table1, table1_rows
 
@@ -58,58 +58,59 @@ class TestFig1:
 
 class TestFig4Fig5:
     def test_fig4_grid_shape(self):
-        points = run_fig4(
-            "matmul", sizes=[2048], machine_counts=[2], replications=1,
-            policies=("greedy", "plb-hec"),
+        points = run_grid(
+            [("matmul", 2048, 2)], ("greedy", "plb-hec"), replications=1,
         )
         assert len(points) == 1
         assert points[0].app_name == "matmul"
 
     def test_render_sweep(self):
-        points = run_fig4(
-            "matmul", sizes=[2048], machine_counts=[2], replications=1,
-            policies=("greedy", "plb-hec"),
+        points = run_grid(
+            [("matmul", 2048, 2)], ("greedy", "plb-hec"), replications=1,
         )
         text = render_sweep(points)
         assert "speedup" in text
         assert "plb-hec" in text
 
     def test_fig5_runs(self):
-        points = run_fig5(
-            sizes=[20_000], machine_counts=[2], replications=1,
-            policies=("greedy", "hdss"),
+        points = run_grid(
+            [("blackscholes", 20_000, 2)], ("greedy", "hdss"), replications=1,
         )
         assert points[0].app_name == "blackscholes"
 
 
+FIG6 = ("acosta", "hdss", "plb-hec")
+
+
 class TestFig6:
     def test_distributions_normalised(self):
-        cases = run_fig6(
-            cases=(("matmul", (8192,)),), replications=1,
-        )
-        case = cases[0]
-        for dist in case.distributions.values():
+        points = run_grid([("matmul", 8192, 4)], FIG6, replications=1)
+        for outcome in points[0].outcomes.values():
+            dist = outcome.mean_distribution()
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_gpus_dominate(self):
-        cases = run_fig6(cases=(("matmul", (16384,)),), replications=1)
-        for dist in cases[0].distributions.values():
-            assert gpu_share(dist) > 0.5
+        points = run_grid([("matmul", 16384, 4)], FIG6, replications=1)
+        for outcome in points[0].outcomes.values():
+            assert gpu_share(outcome.mean_distribution()) > 0.5
 
     def test_render(self):
-        cases = run_fig6(cases=(("matmul", (8192,)),), replications=1)
-        assert "gpu_total" in render_fig6(cases)
+        points = run_grid([("matmul", 8192, 4)], FIG6, replications=1)
+        assert "gpu_total" in render_distribution(points)
 
 
 class TestFig7:
     def test_plb_less_idle_than_hdss(self):
-        cases = run_fig7(cases=(("matmul", (16384,)),), replications=1)
-        case = cases[0]
-        assert case.mean_idle("plb-hec") < case.mean_idle("hdss")
+        points = run_grid(
+            [("matmul", 16384, 4)], ("hdss", "plb-hec"), replications=1
+        )
+        assert mean_idle(points[0], "plb-hec") < mean_idle(points[0], "hdss")
 
     def test_render(self):
-        cases = run_fig7(cases=(("matmul", (8192,)),), replications=1)
-        assert "rebalances" in render_fig7(cases)
+        points = run_grid(
+            [("matmul", 8192, 4)], ("hdss", "plb-hec"), replications=1
+        )
+        assert "rebalances" in render_idleness(points)
 
 
 class TestSolverOverhead:

@@ -25,7 +25,7 @@ class TestParser:
             build_parser().parse_args(["run", "--machines", "7"])
 
     def test_jobs_flag_on_sweep_commands(self):
-        args = build_parser().parse_args(["fig4", "--jobs", "3"])
+        args = build_parser().parse_args(["report", "--jobs", "3"])
         assert args.jobs == 3
         args = build_parser().parse_args(["compare", "--jobs", "2"])
         assert args.jobs == 2
@@ -51,6 +51,28 @@ class TestParser:
             build_parser().parse_args([command])
         assert exc.value.code == 2
         assert command not in build_parser().format_usage()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["table1", "fig1", "fig4", "fig5", "fig6", "fig7", "overhead",
+         "ablations", "heterogeneity", "sensitivity"],
+    )
+    def test_report_rows_are_not_commands(self, command):
+        # each is a `report --only` row now; no alias remains
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert command not in build_parser().format_usage()
+
+    def test_report_options(self):
+        args = build_parser().parse_args(
+            ["report", "--only", "fig4", "fig7", "--fast",
+             "--replications", "2"]
+        )
+        assert args.only == ["fig4", "fig7"]
+        assert args.fast and args.replications == 2
+        args = build_parser().parse_args(["report"])
+        assert args.only is None and args.replications == 3
 
     def test_run_trace_and_metrics_out(self):
         args = build_parser().parse_args(
@@ -119,33 +141,57 @@ class TestCommands:
         for column in ("compute", "transfer", "idle", "solver"):
             assert column in out
 
+    def test_compare_is_pinned_and_matches_run(self, capsys):
+        config = ["--app", "matmul", "--size", "16384", "--machines", "4"]
+        argv = ["compare", *config, "--replications", "1", "--jobs", "1"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert main(["run", *config]) == 0
+        ran = capsys.readouterr().out
+
+        def plb_time(out):
+            rows = [[c.strip() for c in line.split("|")]
+                    for line in out.splitlines() if "|" in line]
+            row = next(r for r in rows if "plb-hec" in r)
+            return row[rows[0].index("time_s")]
+
+        assert plb_time(outputs[0]) == plb_time(ran)
+
+    @staticmethod
+    def _report(*argv):
+        return main(["report", "--replications", "1", "--jobs", "1", *argv])
+
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert self._report("--only", "table1") == 0
         assert "Tesla K20c" in capsys.readouterr().out
 
     def test_fig1(self, capsys):
-        assert main(["fig1", "--points", "6"]) == 0
+        assert self._report("--only", "fig1") == 0
         assert "Fig.1" in capsys.readouterr().out
 
     def test_fig4_fast(self, capsys):
-        assert main(["fig4", "--fast", "--replications", "1"]) == 0
+        assert self._report("--only", "fig4", "--fast") == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+        assert "matmul" in out and "grn" in out  # both panels
 
     def test_fig5_fast(self, capsys):
-        assert main(["fig5", "--fast", "--replications", "1"]) == 0
+        assert self._report("--only", "fig5", "--fast") == 0
         assert "blackscholes" in capsys.readouterr().out
 
     def test_fig6(self, capsys):
-        assert main(["fig6", "--replications", "1"]) == 0
+        assert self._report("--only", "fig6") == 0
         assert "gpu_total" in capsys.readouterr().out
 
     def test_fig7(self, capsys):
-        assert main(["fig7", "--replications", "1"]) == 0
+        assert self._report("--only", "fig7") == 0
         assert "rebalances" in capsys.readouterr().out
 
     def test_overhead(self, capsys):
-        assert main(["overhead", "--repetitions", "3"]) == 0
+        assert self._report("--only", "overhead") == 0
         assert "solver overhead" in capsys.readouterr().out
 
     def test_run_gantt(self, capsys):
