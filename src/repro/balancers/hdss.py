@@ -126,21 +126,23 @@ class HDSS(SchedulingPolicy):
 
     def _fit_weights(self) -> None:
         """Least-squares log fit per device; weight = rate at large x."""
-        x_ref = max(self.ctx.total_units / max(len(self._ids), 1), 2.0)
+        self._x_ref = max(self.ctx.total_units / max(len(self._ids), 1), 2.0)
         for d in self._ids:
-            pts = self._samples[d]
-            if not pts:
-                self._weights[d] = 1e-9
-                continue
-            x = np.array([p[0] for p in pts])
-            r = np.array([p[1] for p in pts])
-            if len(pts) >= 2 and np.ptp(np.log(x)) > 0:
-                design = np.column_stack([np.ones_like(x), np.log(x)])
-                (a, b), *_ = np.linalg.lstsq(design, r, rcond=None)
-                w = a + b * np.log(x_ref)
-            else:
-                w = float(r.mean())
-            self._weights[d] = max(float(w), float(r.max()) * 1e-3, 1e-9)
+            self._weights[d] = self._log_fit(d)
+
+    def _log_fit(self, d: str) -> float:
+        pts = self._samples[d]
+        if not pts:
+            return 1e-9
+        x = np.array([p[0] for p in pts])
+        r = np.array([p[1] for p in pts])
+        if len(pts) >= 2 and np.ptp(np.log(x)) > 0:
+            design = np.column_stack([np.ones_like(x), np.log(x)])
+            (a, b), *_ = np.linalg.lstsq(design, r, rcond=None)
+            w = a + b * np.log(self._x_ref)
+        else:
+            w = float(r.mean())
+        return max(float(w), float(r.max()) * 1e-3, 1e-9)
 
     def _enter_completion(self) -> None:
         self._fit_weights()
@@ -208,10 +210,12 @@ class HDSS(SchedulingPolicy):
             self._enter_completion()
 
     def on_device_failed(self, device_id: str, now: float) -> None:
-        """Drop the device; close the probe barrier if it was holding it."""
+        """Drop the device; close the probe barrier if it was holding it.
+
+        Its probe samples and round count stay, so a transient outage
+        can be folded back in by :meth:`on_device_recovered`.
+        """
         self._ids = tuple(d for d in self._ids if d != device_id)
-        self._samples.pop(device_id, None)
-        self._round.pop(device_id, None)
         self._stable.discard(device_id)
         self._weights.pop(device_id, None)
         if self._phase == "adaptive" and not self.per_device_growth:
@@ -222,6 +226,21 @@ class HDSS(SchedulingPolicy):
                 self._done_round.clear()
                 if not self._budget_left():
                     self._enter_completion()
+
+    def on_device_recovered(self, device_id: str, now: float) -> None:
+        """Fold the device back in with the samples it had probed.
+
+        In the adaptive phase it joins the current probe round; in the
+        completion phase its weight is refitted from its samples (a
+        device that never finished a probe gets the floor weight and
+        so the minimum block).
+        """
+        if device_id in self._ids:
+            return
+        live = {*self._ids, device_id}
+        self._ids = tuple(d for d in self.ctx.device_ids if d in live)
+        if self._phase == "completion":
+            self._weights[device_id] = self._log_fit(device_id)
 
     def phase_label(self, worker_id: str) -> str:
         return "probe" if self._phase == "adaptive" else "exec"

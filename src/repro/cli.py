@@ -49,8 +49,10 @@ Commands
     docs/TUTORIAL.md §9.  ``--serve`` runs the campaign against
     *service episodes* instead of batch runs: the same seeded fault
     schedules are injected while the cluster keeps admitting, shedding
-    and completing jobs (``--dashboard``/``--history`` are rejected
-    there); see docs/TUTORIAL.md §13.
+    and completing jobs; see docs/TUTORIAL.md §13.  Both modes run
+    through :func:`repro.resilience.run_campaign`, and each rejects
+    the other's flags (``--rate``/``--duration`` are serve-only,
+    ``--app``/``--size``/``--dashboard``/``--history`` batch-only).
 ``serve``
     Host the cluster as an online service: seeded open-loop Poisson
     arrivals (``--pattern constant|diurnal|bursty``) flow through a
@@ -104,6 +106,7 @@ from repro.experiments.runner import (
 )
 from repro.cluster import GroundTruth, paper_cluster
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.obs.events import new_run_id, push_run_id
 from repro.obs.metrics import get_registry
 from repro.obs.report import RunReport
@@ -416,9 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--app",
         choices=["matmul", "grn", "blackscholes", "stencil"],
-        default="matmul",
+        default=None,
+        help="batch only: application (default matmul)",
     )
-    p_chaos.add_argument("--size", type=int, default=2048)
+    p_chaos.add_argument(
+        "--size", type=int, default=None,
+        help="batch only: problem size (default 2048)",
+    )
     p_chaos.add_argument("--machines", type=int, default=2, choices=[1, 2, 3, 4])
     p_chaos.add_argument("--seed", type=int, default=0)
     p_chaos.add_argument(
@@ -446,21 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="chaos against the living cluster: inject the fault "
         "schedules into service episodes (repro serve) instead of "
-        "batch runs; --app/--size are ignored, --dashboard/--history "
-        "are rejected, --policies takes balancer flavors "
-        "(plb-hec,fair,greedy)",
+        "batch runs; --app/--size/--dashboard/--history are rejected, "
+        "--policies takes balancer flavors (default "
+        "plb-hec,greedy,fair; --quick: plb-hec,greedy and at most 4 runs)",
     )
     p_chaos.add_argument(
         "--rate",
         type=float,
-        default=3.0,
+        default=None,
         help="--serve only: arrival rate in jobs per virtual second "
         "(default 3.0)",
     )
     p_chaos.add_argument(
         "--duration",
         type=float,
-        default=12.0,
+        default=None,
         help="--serve only: arrival horizon in virtual seconds "
         "(default 12.0)",
     )
@@ -817,9 +824,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"trace written to {path}")
     if args.metrics_out:
         if args.metrics_format == "prom":
-            Path(args.metrics_out).write_text(
-                get_registry().to_prometheus(), encoding="utf-8"
-            )
+            write_atomic(args.metrics_out, get_registry().to_prometheus())
         else:
             report = RunReport.build(
                 config=_run_config(args, policy.name),
@@ -830,9 +835,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 metrics=get_registry().snapshot(),
                 run_id=run_id,
             )
-            Path(args.metrics_out).write_text(
+            write_atomic(
+                args.metrics_out,
                 json.dumps(report.to_dict(), indent=2, sort_keys=True),
-                encoding="utf-8",
             )
         print(f"metrics written to {args.metrics_out} ({args.metrics_format})")
     if args.gantt:
@@ -866,8 +871,8 @@ def _write_profile(
         path = write_collapsed(args.collapsed, lines)
         print(f"collapsed stacks written to {path} ({len(lines)} stacks)")
     if args.profile_out:
-        Path(args.profile_out).write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True), encoding="utf-8"
+        write_atomic(
+            args.profile_out, json.dumps(snapshot, indent=2, sort_keys=True)
         )
         print(f"profile snapshot written to {args.profile_out}")
 
@@ -1404,53 +1409,100 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_serve_chaos(args: argparse.Namespace) -> int:
-    from repro.service.campaign import ServeChaosConfig, run_serve_campaign
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.resilience import ChaosConfig, ServeChaosConfig, run_campaign
 
-    if args.policies:
-        policies = tuple(
-            p.strip() for p in args.policies.split(",") if p.strip()
-        )
-    elif args.quick:
-        policies = ("plb-hec", "greedy")
+    # each mode owns its flags: a flag of the other mode is an error,
+    # not silently ignored
+    if args.serve:
+        mode, foreign = "chaos --serve", ("app", "size", "dashboard", "history")
     else:
-        policies = ("plb-hec", "greedy", "fair")
+        mode, foreign = "chaos without --serve", ("rate", "duration")
+    for flag in foreign:
+        if getattr(args, flag) is not None:
+            raise ConfigurationError(f"{mode} does not support --{flag}")
     max_faults = args.max_faults
     if max_faults is None:
         max_faults = 1 if args.quick else 2
-    runs = min(args.runs, 4) if args.quick else args.runs
-    config = ServeChaosConfig(
-        policies=policies,
-        runs=runs,
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        machines=args.machines,
-        max_faults=max_faults,
-    )
-    scorecard = run_serve_campaign(config, jobs=args.jobs)
+    common = dict(seed=args.seed, machines=args.machines, max_faults=max_faults)
+    # without --policies each mode's config supplies its default grid
+    if args.policies:
+        common["policies"] = tuple(
+            p.strip() for p in args.policies.split(",") if p.strip()
+        )
+    elif args.quick:
+        common["policies"] = ("plb-hec", "greedy")
+    if args.serve:
+        config = ServeChaosConfig(
+            **common,
+            runs=min(args.runs, 4) if args.quick else args.runs,
+            rate=3.0 if args.rate is None else args.rate,
+            duration=12.0 if args.duration is None else args.duration,
+        )
+    else:
+        config = ChaosConfig(
+            **common,
+            runs=args.runs,
+            apps=("matmul" if args.app is None else args.app,),
+            sizes=(2048 if args.size is None else args.size,),
+        )
+    scorecard = run_campaign(config, jobs=args.jobs)
 
+    if args.serve:
+        header = ["goodput_ratio", "violations", "shed", "timeout",
+                  "failed", "breaker_opens"]
+        title = (
+            f"Serve chaos campaign: rate={config.rate:g}/s "
+            f"duration={config.duration:g}s"
+        )
+
+        def columns(agg):
+            return [
+                _fmt_opt(agg["mean_goodput_ratio"], "{:.2f}x"),
+                agg["violations"],
+                agg["shed"],
+                agg["timeout"],
+                agg["failed"],
+                agg["breaker_opens"],
+            ]
+    else:
+        header = ["mean_deg", "max_deg", "recovery_lag", "violations",
+                  "slo_viol", "decisions", "fault_rec", "rework", "idle",
+                  "fallbacks"]
+        title = f"Chaos campaign: {config.apps[0]} size={config.sizes[0]}"
+
+        def columns(agg):
+            shares = agg["mean_attribution"]
+            return [
+                _fmt_opt(agg["mean_degradation"], "{:.3f}x"),
+                _fmt_opt(agg["max_degradation"], "{:.3f}x"),
+                _fmt_opt(agg["mean_recovery_lag"], "{:.1f}ms", scale=1e3),
+                agg["violations"],
+                agg["slo_violations"],
+                agg["decisions_explained"],
+                *(
+                    _fmt_opt(shares.get(category), "{:.1f}%", scale=100)
+                    for category in ("fault_recovery", "rework", "idle")
+                ),
+                ",".join(
+                    f"{k}={v}" for k, v in agg["fallback_stages_used"].items()
+                )
+                or "-",
+            ]
     rows = [
         [
             name,
             f"{agg['survived']}/{agg['runs']}",
             f"{agg['survival_rate'] * 100:.0f}%",
-            _fmt_opt(agg["mean_goodput_ratio"], "{:.2f}x"),
-            agg["violations"],
-            agg["shed"],
-            agg["timeout"],
-            agg["failed"],
-            agg["breaker_opens"],
+            *columns(agg),
         ]
         for name, agg in scorecard["policies"].items()
     ]
     print(
         format_table(
-            ["policy", "survived", "rate", "goodput_ratio", "violations",
-             "shed", "timeout", "failed", "breaker_opens"],
+            ["policy", "survived", "rate", *header],
             rows,
-            title=f"Serve chaos campaign: rate={config.rate:g}/s "
-            f"duration={config.duration:g}s machines={config.machines} "
+            title=f"{title} machines={config.machines} "
             f"runs={config.runs} seed={config.seed}",
         )
     )
@@ -1461,96 +1513,8 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
         f"-> {'OK' if ok else 'FAIL'}"
     )
     if args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(scorecard, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"scorecard written to {args.out}")
-    return 0 if ok else 3
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.obs.history import chaos_entry
-    from repro.resilience import ChaosConfig, run_campaign
-
-    if args.serve:
-        for flag in ("dashboard", "history"):
-            if getattr(args, flag) is not None:
-                raise ConfigurationError(
-                    f"chaos --serve does not support --{flag}"
-                )
-        return _cmd_serve_chaos(args)
-    if args.policies:
-        policies = tuple(
-            p.strip() for p in args.policies.split(",") if p.strip()
-        )
-    elif args.quick:
-        policies = ("plb-hec", "greedy")
-    else:
-        policies = ("plb-hec", "greedy", "hdss", "gss")
-    max_faults = args.max_faults
-    if max_faults is None:
-        max_faults = 1 if args.quick else 2
-    config = ChaosConfig(
-        apps=(args.app,),
-        sizes=(args.size,),
-        machines=args.machines,
-        policies=policies,
-        runs=args.runs,
-        seed=args.seed,
-        max_faults=max_faults,
-    )
-    scorecard = run_campaign(config, jobs=args.jobs)
-
-    def share(agg, category):
-        attribution = agg.get("mean_attribution") or {}
-        if category not in attribution:
-            return "-"
-        return f"{attribution[category] * 100:.1f}%"
-
-    rows = [
-        [
-            name,
-            f"{agg['survived']}/{agg['runs']}",
-            f"{agg['survival_rate'] * 100:.0f}%",
-            _fmt_opt(agg["mean_degradation"], "{:.3f}x"),
-            _fmt_opt(agg["max_degradation"], "{:.3f}x"),
-            _fmt_opt(agg["mean_recovery_lag"], "{:.1f}ms", scale=1e3),
-            agg["violations"],
-            agg.get("slo_violations", 0),
-            agg.get("decisions_explained", 0),
-            share(agg, "fault_recovery"),
-            share(agg, "rework"),
-            share(agg, "idle"),
-            ",".join(
-                f"{k}={v}"
-                for k, v in agg.get("fallback_stages_used", {}).items()
-            )
-            or "-",
-        ]
-        for name, agg in scorecard["policies"].items()
-    ]
-    print(
-        format_table(
-            ["policy", "survived", "rate", "mean_deg", "max_deg",
-             "recovery_lag", "violations", "slo_viol", "decisions",
-             "fault_rec", "rework", "idle",
-             "fallbacks"],
-            rows,
-            title=f"Chaos campaign: {args.app} size={args.size} "
-            f"machines={args.machines} runs={args.runs} seed={args.seed}",
-        )
-    )
-    ok = scorecard["all_invariants_ok"]
-    print(
-        f"{scorecard['survived_runs']}/{scorecard['total_runs']} runs "
-        f"survived, {scorecard['total_violations']} invariant violation(s) "
-        f"-> {'OK' if ok else 'FAIL'}"
-    )
-    if args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(scorecard, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        write_atomic(
+            args.out, json.dumps(scorecard, indent=2, sort_keys=True) + "\n"
         )
         print(f"scorecard written to {args.out}")
     if args.dashboard:
@@ -1558,8 +1522,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         path = write_dashboard(args.dashboard, chaos_dashboard_data(scorecard))
         print(f"dashboard written to {path}")
-    history = _resolve_history(args.history)
+    # serve campaigns write no history entry (--history is rejected)
+    history = None if args.serve else _resolve_history(args.history)
     if history is not None:
+        from repro.obs.history import chaos_entry
+
         stored = history.append(chaos_entry(scorecard))
         print(f"history: appended to {history.path} "
               f"(config {stored['config_hash'][:12]})")

@@ -55,6 +55,8 @@ import math
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.sim.trace import ExecutionTrace, TaskRecord
 
 __all__ = [
@@ -480,19 +482,15 @@ def write_critpath(path: str | Path, analysis: Mapping[str, Any]) -> Path:
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         When the analysis fails :func:`validate_critpath` — a broken
         attribution artifact is worse than none.
     """
     problems = validate_critpath(analysis)
     if problems:
-        raise ValueError(
+        raise ConfigurationError(
             "refusing to write invalid critpath document: " + "; ".join(problems)
         )
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(analysis, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    return write_atomic(
+        path, json.dumps(analysis, indent=2, sort_keys=True) + "\n"
     )
-    tmp.replace(path)
-    return path

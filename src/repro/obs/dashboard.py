@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from xml.sax.saxutils import escape
 
+from repro.obs.artifact import write_atomic
 from repro.obs.history import git_rev, host_fingerprint
 from repro.obs.ledger import decision_rows
 from repro.obs.regress import Anomaly
@@ -1324,9 +1325,4 @@ def render_dashboard(data: DashboardData) -> str:
 
 def write_dashboard(path: str | Path, data: DashboardData) -> Path:
     """Render and atomically write the dashboard file."""
-    target = Path(path)
-    html = render_dashboard(data)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(html, encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return write_atomic(path, render_dashboard(data))

@@ -28,13 +28,12 @@ ledgers, and the sweep engine can cache them next to the
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.obs.calibration import DRIFT_ALPHA, DeviceCalibration
 
 __all__ = [
@@ -353,18 +352,9 @@ def write_explain(ledger: "DecisionLedger | dict", path: str) -> int:
             "devices": data["calibration"],
         }
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(
+        path, "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    )
     return len(lines)
 
 

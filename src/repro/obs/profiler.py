@@ -40,6 +40,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 
 __all__ = [
     "PROFILE_PHASES",
@@ -478,11 +479,7 @@ def collapsed_stacks(
 
 def write_collapsed(path, lines: Sequence[str]):
     """Write collapsed-stack lines to ``path`` (one stack per line)."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return target
+    return write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # ----------------------------------------------------------------------
@@ -646,8 +643,4 @@ def render_flamegraph_svg(
 
 def write_flamegraph(path, snap_or_lines, **kwargs):
     """Render and write a flamegraph SVG; returns the written path."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.write_text(render_flamegraph_svg(snap_or_lines, **kwargs), encoding="utf-8")
-    return target
+    return write_atomic(path, render_flamegraph_svg(snap_or_lines, **kwargs))

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram
 from repro.obs.timeseries import TimeSeriesStore
@@ -419,14 +420,9 @@ def write_slo_report(path: str | Path, report: Mapping[str, Any]) -> Path:
     problems = validate_slo_report(report)
     if problems:
         raise ConfigurationError(f"refusing to write invalid SLO report: {problems}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    return write_atomic(
+        path, json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    tmp.replace(path)
-    return path
 
 
 def validate_slo_report(report: Mapping[str, Any]) -> list[str]:

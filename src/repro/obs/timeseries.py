@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.obs.metrics import Histogram, _series_key, get_registry
 
 __all__ = [
@@ -520,11 +521,7 @@ def write_series(
             "was being written"
         )
     text = "\n".join([json.dumps(header, sort_keys=True), *rows]) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-    return path
+    return write_atomic(path, text)
 
 
 def read_series(path: str | Path) -> tuple[dict[str, Any], TimeSeriesStore]:

@@ -33,6 +33,7 @@ import os
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_atomic
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -450,11 +451,7 @@ def write_chrome_trace(
         raise ConfigurationError(
             "refusing to write invalid trace document: " + "; ".join(errors[:5])
         )
-    target = Path(path)
-    tmp = target.with_suffix(target.suffix + ".tmp%d" % os.getpid())
-    tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return write_atomic(path, json.dumps(doc, sort_keys=True))
 
 
 def validate_chrome_trace(doc: dict) -> list[str]:

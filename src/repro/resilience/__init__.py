@@ -8,12 +8,18 @@ into something falsifiable:
   seeded randomized fault-schedule generation;
 * :mod:`repro.resilience.invariants` — work-conservation and
   fault-isolation checks every faulted run must satisfy;
-* :mod:`repro.resilience.campaign` — the chaos campaign runner: a
-  scenario × policy grid of randomized fault schedules through the
-  parallel sweep engine, scored against fault-free baselines.
+* :mod:`repro.resilience.campaign` — the one chaos campaign runner,
+  :func:`run_campaign`: seeded randomized fault schedules through the
+  parallel sweep engine, scored against fault-free baselines, over
+  batch runs (:class:`ChaosConfig`) or service episodes
+  (:class:`ServeChaosConfig`).
 """
 
-from repro.resilience.campaign import ChaosConfig, run_campaign
+from repro.resilience.campaign import (
+    ChaosConfig,
+    ServeChaosConfig,
+    run_campaign,
+)
 from repro.resilience.faults import (
     fault_from_dict,
     fault_to_dict,
@@ -30,6 +36,7 @@ from repro.resilience.invariants import (
 
 __all__ = [
     "ChaosConfig",
+    "ServeChaosConfig",
     "run_campaign",
     "fault_from_dict",
     "fault_to_dict",

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.obs.artifact import write_atomic
 from repro.obs.timeseries import jain_fairness
 
 __all__ = [
@@ -175,8 +176,6 @@ def validate_scorecard(card: Mapping[str, Any]) -> list[str]:
 
 def write_scorecard(path: str | Path, card: Mapping[str, Any]) -> Path:
     """Write the scorecard canonically (sorted keys, trailing newline)."""
-    target = Path(path)
-    target.write_text(
-        json.dumps(card, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    return write_atomic(
+        path, json.dumps(card, sort_keys=True, indent=2) + "\n"
     )
-    return target

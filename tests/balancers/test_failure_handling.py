@@ -41,6 +41,23 @@ class TestHDSSFailure:
         res = run_with(policy, small_cluster, fail="alpha.gpu0", at=0.6)
         assert res.trace.total_units() >= 8192
 
+    def test_hdss_refits_a_recovered_device(self):
+        """Recovered in the completion phase, HDSS weighs the device again."""
+        from repro.cluster import paper_cluster
+        from repro.experiments.runner import make_application
+        from repro.runtime.sim_executor import TransientFailure
+
+        app = make_application("matmul", 2048)
+        policy = HDSS()
+        rt = Runtime(
+            paper_cluster(2), app.codelet(), seed=3,
+            transients=(TransientFailure("B.cpu", 0.02, 0.003),),
+        )
+        rt.run(policy, app.total_units, app.default_initial_block_size())
+        assert policy._phase == "completion"
+        assert "B.cpu" in policy._ids
+        assert "B.cpu" in policy.weights
+
 
 class TestAcostaFailure:
     def test_step_barrier_closes(self, small_cluster):

@@ -200,6 +200,30 @@ class TestAllPoliciesFailureMatrix:
         for r in res.trace.records_for("alpha.gpu0"):
             assert r.start_time <= t_fail
 
+    @pytest.mark.parametrize("timing", sorted(TIMINGS), ids=sorted(TIMINGS))
+    @pytest.mark.parametrize("name", (*ALL_POLICIES, "plb-hec-free", "oracle"))
+    def test_finishes_after_transient(self, small_cluster, name, timing):
+        """A device that goes down and comes back is folded back in."""
+        from repro.resilience import check_conservation
+
+        app = MatMul(n=8192)
+        base = _baseline_makespan(name, small_cluster, app)
+        rt = Runtime(
+            small_cluster,
+            app.codelet(),
+            seed=5,
+            transients=(
+                TransientFailure("alpha.gpu0", base * TIMINGS[timing], base * 0.02),
+            ),
+        )
+        res = rt.run(
+            _named_policy(name, small_cluster, app),
+            app.total_units,
+            app.default_initial_block_size(),
+        )
+        assert res.trace.recoveries, "the device must come back mid-run"
+        assert check_conservation(res.trace, app.total_units) == []
+
 
 class TestTransientRecovery:
     def _run(self, small_cluster, *, transient):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.campaign import ServeChaosConfig, run_serve_campaign
+from repro.resilience import ServeChaosConfig, run_campaign as run_serve_campaign
 
 QUICK = dict(
     policies=("plb-hec", "fair"),

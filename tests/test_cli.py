@@ -427,6 +427,27 @@ class TestChaosCommand:
                   "--out", "-", flag, str(target)])
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ([], "--rate", "50"),
+            ([], "--duration", "1"),
+            (["--serve"], "--app", "grn"),
+            (["--serve"], "--size", "1024"),
+        ],
+    )
+    def test_rejects_the_other_modes_flags(self, mode, flag, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=flag):
+            main(["chaos", *mode, "--quick", "--runs", "2", "--out", "-",
+                  flag, value])
+
+    def test_default_grid_seed_1_reports_its_verdict(self, capsys):
+        """A recovered device must not abort the campaign (HDSS did)."""
+        assert main(["chaos", "--seed", "1", "--out", "-"]) in (0, 3)
+        assert "16/16 runs survived" in capsys.readouterr().out
+
     def test_history_is_opt_in(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_HISTORY", raising=False)

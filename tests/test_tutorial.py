@@ -430,6 +430,16 @@ class TestTutorialService:
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))
 
+    def test_serve_chaos_snippet_runs(self):
+        """The §13 serve-campaign snippet, verbatim in structure."""
+        from repro.resilience import ServeChaosConfig, run_campaign
+
+        scorecard = run_campaign(ServeChaosConfig(policies=("plb-hec", "fair"),
+                                                  runs=2, duration=6.0,
+                                                  max_faults=1, seed=0), jobs=1)
+        assert scorecard["all_invariants_ok"]
+        assert scorecard["policies"]["plb-hec"]["mean_goodput_ratio"] > 0
+
     def test_serve_slo_gate_matches_the_committed_spec(self):
         from repro.obs import evaluate_slo, load_slo_spec
         from repro.service import ArrivalSpec, ClusterService, ServiceConfig
